@@ -141,24 +141,29 @@ func BenchmarkLoadGenOffline(b *testing.B) {
 
 // --- Native reference-model inference (the substrate's compute cost). ---
 
+// benchmarkPredict times Engine.Predict on the given samples over one
+// recycled arena, the way a backend worker calls it.
+func benchmarkPredict(b *testing.B, e model.Engine, samples []*dataset.Sample) {
+	b.Helper()
+	s := tensor.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		if _, err := e.Predict(samples, s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(samples)), "ns/sample")
+}
+
 func benchmarkClassifier(b *testing.B, build func(model.ClassifierConfig) (*model.ImageClassifier, error)) {
 	b.Helper()
 	m, err := build(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	img := tensor.MustNew(3, 16, 16)
-	rng := stats.NewRNG(2)
-	for i := range img.Data() {
-		img.Data()[i] = float32(rng.NormFloat64())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Classify(img); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkPredict(b, m, benchSamples(2, 1, m.InputShape()))
 }
 
 func BenchmarkResNet50MiniInference(b *testing.B) { benchmarkClassifier(b, model.NewResNet50Mini) }
@@ -171,15 +176,7 @@ func BenchmarkSSDMobileNetMiniDetection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	img := tensor.MustNew(3, 16, 16)
-	img.Fill(0.25)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Detect(img); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkPredict(b, m, benchSamples(3, 1, m.InputShape()))
 }
 
 func BenchmarkGNMTMiniTranslation(b *testing.B) {
@@ -187,19 +184,12 @@ func BenchmarkGNMTMiniTranslation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := []int{5, 9, 13, 21, 34, 8}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Translate(src); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkPredict(b, m, []*dataset.Sample{{Tokens: []int{5, 9, 13, 21, 34, 8}}})
 }
 
-// --- Compute-kernel microbenchmarks: blocked/parallel engine vs the
-// retained serial reference kernels (the speedup the paper's "as fast as the
-// hardware allows" requirement hinges on). ---
+// --- Compute-kernel microbenchmarks (the throughput the paper's "as fast as
+// the hardware allows" requirement hinges on). The serial reference kernels
+// they used to be compared against live in internal/tensor's tests. ---
 
 func randTensor(seed uint64, shape ...int) *tensor.Tensor {
 	t := tensor.MustNew(shape...)
@@ -214,22 +204,13 @@ func randTensor(seed uint64, shape ...int) *tensor.Tensor {
 func BenchmarkKernelMatMul(b *testing.B) {
 	a := randTensor(1, 128, 256)
 	bm := randTensor(2, 256, 128)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tensor.MatMulSerial(a, bm); err != nil {
-				b.Fatal(err)
-			}
+	dst := tensor.MustNew(128, 128)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := tensor.MatMulInto(dst, a, bm); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("blocked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tensor.MatMul(a, bm); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkKernelGEMMSIMD measures the SIMD GEMM microkernels against the
@@ -237,8 +218,8 @@ func BenchmarkKernelMatMul(b *testing.B) {
 // cache-resident square GEMM (every operand fits in L2, so the benchmark sees
 // pure ALU throughput) and a streaming GEMM whose B matrix exceeds L2 (the
 // panel loop's memory-bandwidth regime). One sub-benchmark per dispatch tier;
-// tiers the host cannot run are skipped, so the recorded JSON shows exactly
-// what this machine's silicon earned.
+// tiers the host cannot run are skipped, so the output shows exactly what
+// this machine's silicon earned.
 func BenchmarkKernelGEMMSIMD(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -253,6 +234,7 @@ func BenchmarkKernelGEMMSIMD(b *testing.B) {
 	for _, sh := range shapes {
 		a := randTensor(11, sh.m, sh.k)
 		bm := randTensor(12, sh.k, sh.n)
+		dst := tensor.MustNew(sh.m, sh.n)
 		flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
 		for _, tier := range tiers {
 			b.Run(fmt.Sprintf("%s/%s", sh.name, tier), func(b *testing.B) {
@@ -263,7 +245,7 @@ func BenchmarkKernelGEMMSIMD(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := tensor.MatMul(a, bm); err != nil {
+					if err := tensor.MatMulInto(dst, a, bm); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -274,84 +256,32 @@ func BenchmarkKernelGEMMSIMD(b *testing.B) {
 }
 
 func BenchmarkKernelConv2D(b *testing.B) {
-	input := randTensor(3, 32, 32, 32)
+	input := randTensor(3, 32, 1, 32, 32) // a batch of one
 	kernels := randTensor(4, 64, 32, 3, 3)
 	bias := randTensor(5, 64)
+	dst := tensor.MustNew(64, 1, 32, 32)
 	opts := tensor.Conv2DOptions{Stride: 1, Padding: 1}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tensor.Conv2DSerial(input, kernels, bias, opts); err != nil {
-				b.Fatal(err)
-			}
+	s := tensor.NewScratch()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		if err := tensor.Conv2DBatchedInto(dst, input, kernels, bias, opts, tensor.PostNone, s); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("im2col", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tensor.Conv2D(input, kernels, bias, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkKernelDepthwiseConv2D(b *testing.B) {
-	input := randTensor(6, 64, 32, 32)
+	input := randTensor(6, 64, 1, 32, 32) // a batch of one
 	kernels := randTensor(7, 64, 3, 3)
 	bias := randTensor(8, 64)
+	dst := tensor.MustNew(64, 1, 32, 32)
 	opts := tensor.Conv2DOptions{Stride: 1, Padding: 1}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tensor.DepthwiseConv2DSerial(input, kernels, bias, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rowwise", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tensor.DepthwiseConv2D(input, kernels, bias, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkNativeClassifier contrasts the zero-allocation scratch-arena
-// inference path (what the native SUT runs) with the plain heap-allocating
-// forward pass it replaced.
-func BenchmarkNativeClassifier(b *testing.B) {
-	builders := []struct {
-		name  string
-		build func(model.ClassifierConfig) (*model.ImageClassifier, error)
-	}{
-		{"resnet50", model.NewResNet50Mini},
-		{"mobilenet", model.NewMobileNetV1Mini},
-	}
-	for _, bl := range builders {
-		m, err := bl.build(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 1})
-		if err != nil {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := tensor.DepthwiseConv2DBatchedInto(dst, input, kernels, bias, opts, tensor.PostNone); err != nil {
 			b.Fatal(err)
 		}
-		img := randTensor(9, 3, 16, 16)
-		b.Run(bl.name+"/heap", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.ClassifyReference(img); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(bl.name+"/scratch", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Classify(img); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -431,31 +361,7 @@ func BenchmarkHarnessSingleStreamEndToEnd(b *testing.B) {
 	}
 }
 
-// --- Native backend against the LoadGen through a dynamic batcher. ---
-
-func BenchmarkDynamicBatchingServer(b *testing.B) {
-	assembly, err := harness.BuildNative(core.ImageClassificationLight, harness.BuildOptions{DatasetSamples: 48, Seed: 5, Workers: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batcher, err := backend.NewBatching(assembly.SUT, 8, 2*time.Millisecond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	settings := harness.QuickSettings(assembly.Spec, loadgen.Server, 2048)
-	settings.MinDuration = 0
-	settings.ServerTargetQPS = 2000
-	settings.ServerTargetLatency = 100 * time.Millisecond
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := loadgen.StartTest(batcher, assembly.QSL, settings); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Batch-first Engine API: batched Predict vs the per-sample loop. ---
+// --- Engine.Predict across batch sizes: what batching buys per sample. ---
 
 // benchSamples builds n random image samples for an engine's input shape.
 func benchSamples(seed uint64, n int, shape []int) []*dataset.Sample {
@@ -472,11 +378,9 @@ func benchSamples(seed uint64, n int, shape []int) []*dataset.Sample {
 	return out
 }
 
-// BenchmarkBatchedPredict contrasts the native batched Engine.Predict (one
-// im2col+GEMM per layer for the whole batch) with the per-sample adapter loop
-// (model.EngineFromClassifier) at the offline-relevant batch sizes. Each op
-// processes the whole batch, so ns/op at equal batch size is directly
-// comparable between the two variants.
+// BenchmarkBatchedPredict times Engine.Predict (one im2col+GEMM per layer for
+// the whole batch) at the offline-relevant batch sizes. Each op processes the
+// whole batch; ns/sample is the figure to compare across batch sizes.
 func BenchmarkBatchedPredict(b *testing.B) {
 	builders := []struct {
 		name  string
@@ -490,32 +394,47 @@ func BenchmarkBatchedPredict(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		persample := model.EngineFromClassifier(bl.name+"-persample", m)
 		for _, batch := range []int{1, 8, 32} {
 			samples := benchSamples(uint64(batch)*31, batch, m.InputShape())
-			run := func(e model.Engine) func(*testing.B) {
-				return func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := e.Predict(samples, nil); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
-				}
-			}
-			b.Run(fmt.Sprintf("%s/batch%d/batched", bl.name, batch), run(m))
-			b.Run(fmt.Sprintf("%s/batch%d/persample", bl.name, batch), run(persample))
+			b.Run(fmt.Sprintf("%s/batch%d", bl.name, batch), func(b *testing.B) { benchmarkPredict(b, m, samples) })
 		}
 	}
 }
 
-// BenchmarkOfflineBatched runs the full offline scenario — LoadGen, dynamic
-// batcher, native backend — once with the batched engine and once with the
-// per-sample adapter, so the batching win is visible at the system level and
-// not just at the kernel level. It uses MobileNet, the paper's light
-// (high-throughput) offline classification workload; the heavy model's
-// batched-vs-per-sample ratio is recorded by BenchmarkBatchedPredict.
+// benchmarkOffline runs the full offline scenario — LoadGen, one merged
+// query, native backend — and reports the samples/s the LoadGen measured.
+func benchmarkOffline(b *testing.B, engine model.Engine, ds dataset.Dataset, minSamples int) {
+	b.Helper()
+	qsl, err := dataset.NewQSL(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sut, err := backend.NewNative(backend.NativeConfig{Engine: engine, Store: qsl})
+	if err != nil {
+		b.Fatal(err)
+	}
+	settings := loadgen.DefaultSettings(loadgen.Offline)
+	settings.MinSampleCount = minSamples
+	settings.MinDuration = 0
+	b.ReportAllocs()
+	var throughput float64
+	for i := 0; i < b.N; i++ {
+		res, err := loadgen.StartTest(sut, qsl, settings)
+		if err != nil {
+			b.Fatal(err)
+		}
+		throughput = res.OfflineSamplesPerSec
+	}
+	sut.Wait()
+	if errs := sut.Errors(); len(errs) > 0 {
+		b.Fatal(errs[0])
+	}
+	b.ReportMetric(throughput, "samples/s")
+}
+
+// BenchmarkOfflineBatched is the system-level view of batched execution on
+// MobileNet, the paper's light (high-throughput) offline classification
+// workload.
 func BenchmarkOfflineBatched(b *testing.B) {
 	m, err := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 1})
 	if err != nil {
@@ -527,42 +446,7 @@ func BenchmarkOfflineBatched(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	qsl, err := dataset.NewQSL(ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engines := []struct {
-		name   string
-		engine model.Engine
-	}{
-		{"batched", m},
-		{"persample", model.EngineFromClassifier("mobilenet-persample", m)},
-	}
-	for _, e := range engines {
-		sut, err := backend.NewNative(backend.NativeConfig{Engine: e.engine, Store: qsl})
-		if err != nil {
-			b.Fatal(err)
-		}
-		settings := loadgen.DefaultSettings(loadgen.Offline)
-		settings.MinSampleCount = 4096
-		settings.MinDuration = 0
-		b.Run(e.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var throughput float64
-			for i := 0; i < b.N; i++ {
-				res, err := loadgen.StartTest(sut, qsl, settings)
-				if err != nil {
-					b.Fatal(err)
-				}
-				throughput = res.OfflineSamplesPerSec
-			}
-			sut.Wait()
-			if errs := sut.Errors(); len(errs) > 0 {
-				b.Fatal(errs[0])
-			}
-			b.ReportMetric(throughput, "samples/s")
-		})
-	}
+	benchmarkOffline(b, m, ds, 4096)
 }
 
 // benchTextSamples builds n ragged token sentences from the synthetic
@@ -584,68 +468,37 @@ func benchTextSamples(b *testing.B, n int) []*dataset.Sample {
 	return out
 }
 
-// BenchmarkGNMTBatchedDecode contrasts batched greedy decoding (one GEMM per
-// weight matrix per step over all active sentences, finished sentences
-// compacting out) with the serial sentence-at-a-time loop
-// (model.EngineFromTranslator) at the offline-relevant batch sizes. Each op
-// processes the whole batch, so ns/op at equal batch size is directly
-// comparable between the two variants.
+// BenchmarkGNMTBatchedDecode times greedy decoding (one GEMM per weight matrix
+// per step over all active sentences, finished sentences compacting out) at
+// the offline-relevant batch sizes.
 func BenchmarkGNMTBatchedDecode(b *testing.B) {
 	g, err := model.NewGNMTMini(model.TranslatorConfig{Vocab: 64, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	serial := model.EngineFromTranslator("gnmt-serial", g)
 	for _, batch := range []int{1, 8, 32} {
 		samples := benchTextSamples(b, batch)
-		run := func(e model.Engine) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Predict(samples, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
-			}
-		}
-		b.Run(fmt.Sprintf("batch%d/batched", batch), run(g))
-		b.Run(fmt.Sprintf("batch%d/persample", batch), run(serial))
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) { benchmarkPredict(b, g, samples) })
 	}
 }
 
 // BenchmarkWideBatchedPredict measures the weight-streaming amortization the
-// wide-channel classifier exists for: its weights exceed L2, so the
-// per-sample loop re-streams every weight panel per sample while the batched
-// engine streams each panel once per micro-batch (A-panel reuse).
+// wide-channel classifier exists for: its weights exceed L2, so a batch of
+// one re-streams every weight panel per sample while a larger batch streams
+// each panel once per micro-batch (A-panel reuse).
 func BenchmarkWideBatchedPredict(b *testing.B) {
 	m, err := model.NewWideResNetMini(model.ClassifierConfig{Classes: 10, ImageSize: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	persample := model.EngineFromClassifier("resnet50-wide-persample", m)
 	for _, batch := range []int{1, 8, 32} {
 		samples := benchSamples(uint64(batch)*37, batch, m.InputShape())
-		run := func(e model.Engine) func(*testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Predict(samples, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
-			}
-		}
-		b.Run(fmt.Sprintf("batch%d/batched", batch), run(m))
-		b.Run(fmt.Sprintf("batch%d/persample", batch), run(persample))
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) { benchmarkPredict(b, m, samples) })
 	}
 }
 
-// BenchmarkOfflineGNMT runs the full offline translation scenario — LoadGen,
-// merged query, native backend — once with batched greedy decoding and once
-// with the sentence-at-a-time adapter, the system-level view of the batched
-// recurrent path.
+// BenchmarkOfflineGNMT is the system-level view of the recurrent path: the
+// full offline translation scenario.
 func BenchmarkOfflineGNMT(b *testing.B) {
 	g, err := model.NewGNMTMini(model.TranslatorConfig{Vocab: 64, Seed: 1})
 	if err != nil {
@@ -655,42 +508,7 @@ func BenchmarkOfflineGNMT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	qsl, err := dataset.NewQSL(ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engines := []struct {
-		name   string
-		engine model.Engine
-	}{
-		{"batched", g},
-		{"persample", model.EngineFromTranslator("gnmt-persample", g)},
-	}
-	for _, e := range engines {
-		sut, err := backend.NewNative(backend.NativeConfig{Engine: e.engine, Store: qsl})
-		if err != nil {
-			b.Fatal(err)
-		}
-		settings := loadgen.DefaultSettings(loadgen.Offline)
-		settings.MinSampleCount = 512
-		settings.MinDuration = 0
-		b.Run(e.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var throughput float64
-			for i := 0; i < b.N; i++ {
-				res, err := loadgen.StartTest(sut, qsl, settings)
-				if err != nil {
-					b.Fatal(err)
-				}
-				throughput = res.OfflineSamplesPerSec
-			}
-			sut.Wait()
-			if errs := sut.Errors(); len(errs) > 0 {
-				b.Fatal(errs[0])
-			}
-			b.ReportMetric(throughput, "samples/s")
-		})
-	}
+	benchmarkOffline(b, g, ds, 512)
 }
 
 // --- Network serving: the same engine as an in-process SUT vs served over a

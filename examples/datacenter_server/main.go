@@ -2,17 +2,18 @@
 // consumer-facing services) where queries arrive as a Poisson process and
 // must be answered within a QoS bound.
 //
-// The example demonstrates three views of the server scenario:
+// The example demonstrates four views of the server scenario:
 //
-//  1. A wall-clock LoadGen run against the native MobileNet backend — direct,
-//     and wrapped in an in-process dynamic batcher — showing how batching
-//     trades latency for throughput.
+//  1. A wall-clock LoadGen run against the native MobileNet backend, in
+//     process: every query is answered as it arrives, one sample per
+//     inference call.
 //
 //  2. The same engine served over a real network boundary: a loopback
 //     serve.Server (bounded admission queue, dynamic batching, worker pool)
 //     driven by backend.Remote, side by side with the in-process run, plus
-//     the server's own latency breakdown (queue vs service time) — the
-//     phenomena an in-process SUT cannot exhibit.
+//     the server's own latency breakdown (queue vs service time) and batch
+//     histogram — dynamic batching trading latency for throughput, and the
+//     other phenomena an in-process SUT cannot exhibit.
 //
 //  3. The sharded form of the same deployment: a 2-replica loopback fleet
 //     with backend.Remote fanning queries out least-in-flight, the merged
@@ -40,8 +41,7 @@ import (
 )
 
 func main() {
-	// Part 1: wall-clock server run against the native backend, with and
-	// without dynamic batching.
+	// Part 1: wall-clock server run against the native backend in process.
 	assembly, err := harness.BuildNative(core.ImageClassificationLight, harness.BuildOptions{
 		DatasetSamples: 128, Seed: 3, Workers: 4,
 	})
@@ -65,17 +65,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	batcher, err := backend.NewBatching(assembly.SUT, 8, 5*time.Millisecond)
-	if err != nil {
-		log.Fatal(err)
-	}
-	batched, err := loadgen.StartTest(batcher, assembly.QSL, settings)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("== native MobileNet, server scenario at 300 QPS offered (wall clock, scaled down) ==")
 	report("in-process direct", plain)
-	report("in-process batching", batched)
 
 	// Part 2: the same engine behind a loopback network server. The LoadGen
 	// is unchanged — only the SUT now crosses a socket, with admission

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -341,9 +340,10 @@ func TestBatchGrainFloorsAtPreferredBatch(t *testing.T) {
 	if got := sut.batchGrain(3); got != 1 {
 		t.Errorf("batchGrain(3) = %d, want 1", got)
 	}
-	// An engine without BatchSizer keeps the rebalancing-first grain.
+	// An engine without BatchSizer keeps the rebalancing-first grain: the
+	// embedded interface promotes Engine's methods only.
 	plain, err := NewNative(NativeConfig{
-		Engine: model.EngineFromClassifier("plain", classifier), Store: qsl, Workers: 2,
+		Engine: struct{ model.Engine }{classifier}, Store: qsl, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -421,189 +421,5 @@ func TestSimulatedConfigErrors(t *testing.T) {
 	}
 	if _, err := NewSimulated(SimulatedConfig{Platform: platform, Workload: w, TimeScale: -1}); err == nil {
 		t.Error("negative time scale: expected error")
-	}
-}
-
-// recordingSUT captures forwarded queries for batching tests.
-type recordingSUT struct {
-	mu      sync.Mutex
-	batches [][]loadgen.QuerySample
-	flushes int
-}
-
-func (r *recordingSUT) Name() string { return "recording" }
-
-func (r *recordingSUT) IssueQuery(q *loadgen.Query) {
-	r.mu.Lock()
-	batch := make([]loadgen.QuerySample, len(q.Samples))
-	copy(batch, q.Samples)
-	r.batches = append(r.batches, batch)
-	r.mu.Unlock()
-	responses := make([]loadgen.Response, len(q.Samples))
-	for i, s := range q.Samples {
-		responses[i] = loadgen.Response{SampleID: s.ID}
-	}
-	q.Complete(responses)
-}
-
-func (r *recordingSUT) FlushQueries() {
-	r.mu.Lock()
-	r.flushes++
-	r.mu.Unlock()
-}
-
-func (r *recordingSUT) batchSizes() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]int, len(r.batches))
-	for i, b := range r.batches {
-		out[i] = len(b)
-	}
-	return out
-}
-
-func TestBatchingMergesQueries(t *testing.T) {
-	inner := &recordingSUT{}
-	batcher, err := NewBatching(inner, 4, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batcher.Name() == "" {
-		t.Error("empty name")
-	}
-	dones := make([]chan []loadgen.Response, 4)
-	for i := 0; i < 4; i++ {
-		q, done := collectQuery(uint64(i+1), []int{i})
-		dones[i] = done
-		batcher.IssueQuery(q)
-	}
-	// All four original queries complete even though they were merged.
-	for i, done := range dones {
-		select {
-		case rs := <-done:
-			if len(rs) != 1 {
-				t.Errorf("query %d got %d responses", i, len(rs))
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("query %d never completed", i)
-		}
-	}
-	sizes := inner.batchSizes()
-	if len(sizes) != 1 || sizes[0] != 4 {
-		t.Errorf("inner saw batches %v, want one batch of 4", sizes)
-	}
-}
-
-func TestBatchingMaxWaitFlush(t *testing.T) {
-	inner := &recordingSUT{}
-	batcher, err := NewBatching(inner, 100, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, done := collectQuery(1, []int{0})
-	batcher.IssueQuery(q)
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("MaxWait flush never happened")
-	}
-	if len(inner.batchSizes()) != 1 {
-		t.Errorf("expected one forwarded batch, got %v", inner.batchSizes())
-	}
-}
-
-func TestBatchingFlushQueries(t *testing.T) {
-	inner := &recordingSUT{}
-	batcher, err := NewBatching(inner, 100, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, done := collectQuery(1, []int{0, 1})
-	batcher.IssueQuery(q)
-	batcher.FlushQueries()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("FlushQueries did not flush the pending batch")
-	}
-	inner.mu.Lock()
-	flushes := inner.flushes
-	inner.mu.Unlock()
-	if flushes != 1 {
-		t.Errorf("inner flushed %d times, want 1", flushes)
-	}
-}
-
-func TestBatchingSplitsOversizeBatches(t *testing.T) {
-	inner := &recordingSUT{}
-	batcher, err := NewBatching(inner, 3, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, done := collectQuery(1, []int{0, 1, 2, 3, 4, 5, 6})
-	batcher.IssueQuery(q)
-	batcher.Flush()
-	select {
-	case rs := <-done:
-		if len(rs) != 7 {
-			t.Errorf("got %d responses, want 7", len(rs))
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("oversize query never completed")
-	}
-	for _, size := range inner.batchSizes() {
-		if size > 3 {
-			t.Errorf("forwarded batch of %d exceeds MaxBatch 3", size)
-		}
-	}
-}
-
-func TestBatchingForwardsImmediatelyAfterFlushQueries(t *testing.T) {
-	inner := &recordingSUT{}
-	batcher, err := NewBatching(inner, 100, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batcher.FlushQueries()
-
-	// A late query must not sit behind the hour-long MaxWait timer.
-	q, done := collectQuery(1, []int{0, 1})
-	batcher.IssueQuery(q)
-	select {
-	case rs := <-done:
-		if len(rs) != 2 {
-			t.Errorf("late query got %d responses, want 2", len(rs))
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("query issued after FlushQueries was buffered instead of forwarded")
-	}
-
-	// Reopen restores buffering for a new series.
-	batcher.Reopen()
-	q2, done2 := collectQuery(2, []int{0})
-	batcher.IssueQuery(q2)
-	select {
-	case <-done2:
-		t.Fatal("reopened batcher forwarded a below-MaxBatch query immediately")
-	case <-time.After(50 * time.Millisecond):
-	}
-	batcher.Flush()
-	select {
-	case <-done2:
-	case <-time.After(2 * time.Second):
-		t.Fatal("explicit Flush after Reopen did not forward the buffered query")
-	}
-}
-
-func TestBatchingConfigErrors(t *testing.T) {
-	inner := &recordingSUT{}
-	if _, err := NewBatching(nil, 4, time.Second); err == nil {
-		t.Error("nil inner: expected error")
-	}
-	if _, err := NewBatching(inner, 0, time.Second); err == nil {
-		t.Error("zero batch: expected error")
-	}
-	if _, err := NewBatching(inner, 4, 0); err == nil {
-		t.Error("zero wait: expected error")
 	}
 }

@@ -1,17 +1,16 @@
 // Package backend provides the system-under-test implementations the harness
 // runs the LoadGen against:
 //
-//   - Native executes a model.Engine — the suite's single batch-first
-//     inference contract — on synthetic data, exercising the full inference
-//     path (the closest analogue to a real submission's inference engine).
-//     Multi-sample queries are split into per-worker chunks and each chunk
-//     runs as ONE batched Predict call, so a merged offline/server query gets
-//     true batched GEMM execution rather than a sample-by-sample loop.
+//   - Native executes a model.Engine — the suite's single inference
+//     contract, and the only way a model runs — on synthetic data, exercising
+//     the full inference path (the closest analogue to a real submission's
+//     inference engine). Every query is split into per-worker chunks and each
+//     chunk runs as ONE Engine.Predict call: a single-stream query is a chunk
+//     of one, a merged offline query gets true batched GEMM execution rather
+//     than a sample-by-sample loop. Native does not buffer or merge queries.
 //   - Simulated replays a simhw.Platform's service-time model in wall-clock
 //     time, so scenario dynamics can be studied for platforms far faster or
 //     slower than this machine.
-//   - Batching wraps another backend with a dynamic batcher, the optimization
-//     that distinguishes the server and offline scenarios (Section VI-B).
 //   - Remote drives one or more serve.Server replicas over loopback TCP
 //     sockets: the same loadgen.SUT contract, but with queueing,
 //     serialization and connection concurrency — the phenomena that bound
@@ -30,6 +29,11 @@
 //     the reopen barrier), a crashed replica's banked metrics merge with its
 //     restarted epoch, and the whole record — down/up intervals, rejoins,
 //     redials, retries, post-failover drops — is reported via Recovery.
+//
+// Dynamic batching — merging queries that arrive separately, the
+// optimization that distinguishes the server and offline scenarios (Section
+// VI-B) — lives in exactly one place, the serve.Server dispatcher that Remote
+// talks to; no backend re-implements it in process.
 //
 // Because every model is reached through model.Engine, new backends
 // (quantized, simulated-batched, multi-tenant) plug in without per-task
@@ -253,7 +257,7 @@ func (n *Native) batchGrain(samples int) int {
 // recorded — so failed samples also invalidate the run's validity). If the
 // batched call fails — one bad sample poisons a whole Predict — the chunk is
 // retried sample by sample so errors stay isolated to the samples that
-// actually caused them, matching the per-sample path's behavior.
+// actually caused them, as they are for single-sample queries.
 func (n *Native) predictChunk(q *loadgen.Query, lo, hi int) []loadgen.Response {
 	responses := make([]loadgen.Response, hi-lo)
 	samples := make([]*dataset.Sample, 0, hi-lo)

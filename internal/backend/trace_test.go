@@ -22,7 +22,14 @@ func tracedSweep(t *testing.T, clientTr, serverTr *trace.Tracer) (client, server
 	if errs := remote.Errors(); len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
-	return clientTr.Records(), serverTr.Records()
+	client = clientTr.Records()
+	// The server files a request's record once its reply is on the wire, so
+	// the client can hold the last answers before the server's ring holds
+	// their records: let the ring catch up before reading it.
+	for deadline := time.Now().Add(5 * time.Second); serverTr != nil && len(serverTr.Records()) < len(client) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	return client, serverTr.Records()
 }
 
 // TestTracedLoopbackRoundTrip: with sampling on both sides at 1/1, every

@@ -318,21 +318,38 @@ func (a *Assembly) maybeQuantize(m model.WeightedModel, ds dataset.Dataset, opts
 	return nil
 }
 
+// predictAll runs the reference model over the whole data set as one
+// Engine.Predict call — the same path every SUT serves from — and returns the
+// samples alongside their predictions.
+func predictAll(e model.Engine, ds dataset.Dataset) ([]*dataset.Sample, []model.Output, error) {
+	samples := make([]*dataset.Sample, ds.Size())
+	for i := range samples {
+		sample, err := ds.Sample(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		samples[i] = sample
+	}
+	outputs, err := e.Predict(samples, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("harness: calibrating %s: %w", ds.Name(), err)
+	}
+	return samples, outputs, nil
+}
+
 // calibrateClassification relabels the data set so that the classifier's
 // predictions match ground truth for approximately the agreement fraction,
 // then returns the measured Top-1 accuracy.
-func calibrateClassification(m model.Classifier, ds *dataset.SyntheticImages, agreement float64, seed uint64, classes int) (float64, error) {
+func calibrateClassification(e model.Engine, ds *dataset.SyntheticImages, agreement float64, seed uint64, classes int) (float64, error) {
+	_, outputs, err := predictAll(e, ds)
+	if err != nil {
+		return 0, err
+	}
 	rng := stats.NewRNG(seed)
-	var preds, labels []int
-	for i := 0; i < ds.Size(); i++ {
-		sample, err := ds.Sample(i)
-		if err != nil {
-			return 0, err
-		}
-		pred, err := m.Classify(sample.Image)
-		if err != nil {
-			return 0, fmt.Errorf("harness: calibrating sample %d: %w", i, err)
-		}
+	preds := make([]int, len(outputs))
+	labels := make([]int, len(outputs))
+	for i, out := range outputs {
+		pred := out.Class
 		label := pred
 		if rng.Float64() >= agreement {
 			// Assign a deliberately different label so the model misses it.
@@ -341,8 +358,7 @@ func calibrateClassification(m model.Classifier, ds *dataset.SyntheticImages, ag
 		if err := ds.SetLabel(i, label); err != nil {
 			return 0, err
 		}
-		preds = append(preds, pred)
-		labels = append(labels, label)
+		preds[i], labels[i] = pred, label
 	}
 	return metrics.Top1Accuracy(preds, labels)
 }
@@ -350,32 +366,24 @@ func calibrateClassification(m model.Classifier, ds *dataset.SyntheticImages, ag
 // calibrateDetection sets the ground-truth boxes to the detector's own output
 // for approximately the agreement fraction of samples and returns the
 // measured mAP.
-func calibrateDetection(m model.Detector, ds *dataset.SyntheticDetection, agreement float64, seed uint64) (float64, error) {
+func calibrateDetection(e model.Engine, ds *dataset.SyntheticDetection, agreement float64, seed uint64) (float64, error) {
+	samples, outputs, err := predictAll(e, ds)
+	if err != nil {
+		return 0, err
+	}
 	rng := stats.NewRNG(seed)
-	var dets []metrics.Detection
-	var truths []metrics.GroundTruth
-	for i := 0; i < ds.Size(); i++ {
-		sample, err := ds.Sample(i)
-		if err != nil {
-			return 0, err
-		}
-		boxes, err := m.Detect(sample.Image)
-		if err != nil {
-			return 0, fmt.Errorf("harness: calibrating sample %d: %w", i, err)
-		}
-		if rng.Float64() < agreement && len(boxes) > 0 {
-			truth := make([]metrics.Box, len(boxes))
-			copy(truth, boxes)
+	dets := make([]metrics.Detection, len(outputs))
+	truths := make([]metrics.GroundTruth, len(outputs))
+	for i, out := range outputs {
+		truth := samples[i].Boxes
+		if rng.Float64() < agreement && len(out.Boxes) > 0 {
+			truth = append([]metrics.Box(nil), out.Boxes...)
 			if err := ds.SetBoxes(i, truth); err != nil {
 				return 0, err
 			}
 		}
-		fresh, err := ds.Sample(i)
-		if err != nil {
-			return 0, err
-		}
-		dets = append(dets, metrics.Detection{SampleIndex: i, Boxes: boxes})
-		truths = append(truths, metrics.GroundTruth{SampleIndex: i, Boxes: fresh.Boxes})
+		dets[i] = metrics.Detection{SampleIndex: i, Boxes: out.Boxes}
+		truths[i] = metrics.GroundTruth{SampleIndex: i, Boxes: truth}
 	}
 	return metrics.MeanAveragePrecision(dets, truths, 0.5)
 }
@@ -383,31 +391,23 @@ func calibrateDetection(m model.Detector, ds *dataset.SyntheticDetection, agreem
 // calibrateTranslation sets the reference translation to the translator's own
 // output for approximately the agreement fraction of sentences and returns
 // the measured corpus BLEU.
-func calibrateTranslation(m model.Translator, ds *dataset.SyntheticText, agreement float64, seed uint64) (float64, error) {
+func calibrateTranslation(e model.Engine, ds *dataset.SyntheticText, agreement float64, seed uint64) (float64, error) {
+	samples, outputs, err := predictAll(e, ds)
+	if err != nil {
+		return 0, err
+	}
 	rng := stats.NewRNG(seed)
-	var hyps, refs [][]int
-	for i := 0; i < ds.Size(); i++ {
-		sample, err := ds.Sample(i)
-		if err != nil {
-			return 0, err
-		}
-		hyp, err := m.Translate(sample.Tokens)
-		if err != nil {
-			return 0, fmt.Errorf("harness: calibrating sentence %d: %w", i, err)
-		}
-		if rng.Float64() < agreement && len(hyp) > 0 {
-			ref := make([]int, len(hyp))
-			copy(ref, hyp)
+	hyps := make([][]int, len(outputs))
+	refs := make([][]int, len(outputs))
+	for i, out := range outputs {
+		ref := samples[i].RefTokens
+		if rng.Float64() < agreement && len(out.Tokens) > 0 {
+			ref = append([]int(nil), out.Tokens...)
 			if err := ds.SetReference(i, ref); err != nil {
 				return 0, err
 			}
 		}
-		fresh, err := ds.Sample(i)
-		if err != nil {
-			return 0, err
-		}
-		hyps = append(hyps, hyp)
-		refs = append(refs, fresh.RefTokens)
+		hyps[i], refs[i] = out.Tokens, ref
 	}
 	return metrics.CorpusBLEU(hyps, refs)
 }

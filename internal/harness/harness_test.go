@@ -9,6 +9,7 @@ import (
 	"mlperf/internal/loadgen"
 	"mlperf/internal/quantize"
 	"mlperf/internal/simhw"
+	"mlperf/internal/tensor"
 )
 
 func quickOpts() BuildOptions {
@@ -33,6 +34,33 @@ func TestBuildNativeClassification(t *testing.T) {
 	}
 	if a.QualityTarget >= a.ReferenceQuality || a.QualityTarget <= 0 {
 		t.Errorf("quality target %v inconsistent with reference %v", a.QualityTarget, a.ReferenceQuality)
+	}
+}
+
+// TestReferenceQualityGolden pins every task's calibrated reference quality
+// (Seed 42, 64 samples) to the bits recorded when calibration still ran the
+// single-sample Classify/Detect/Translate path: calibrating through one
+// Engine.Predict call keeps the predictions, the RNG draw order and therefore
+// the relabelling — and every quality target derived from it — identical.
+func TestReferenceQualityGolden(t *testing.T) {
+	if tensor.ActiveSIMD() == tensor.SIMDFMA {
+		t.Skip("the opt-in FMA tier rounds fused multiply-adds once; the goldens pin the bit-exact tiers")
+	}
+	golden := map[core.Task]uint64{
+		core.ImageClassificationHeavy: 0x3fe7000000000000, // 0.71875
+		core.ImageClassificationLight: 0x3fe5000000000000, // 0.65625
+		core.ObjectDetectionHeavy:     0x3fa2a71ccb4a831a, // 0.03643121701794012
+		core.ObjectDetectionLight:     0x3fc2e9f1fa1aa766, // 0.14776444160571173
+		core.MachineTranslation:       0x40393dfe47f58a7f, // 25.242161271521123
+	}
+	for _, task := range core.AllTasks() {
+		a, err := BuildNative(task, BuildOptions{Seed: 42, DatasetSamples: 64})
+		if err != nil {
+			t.Fatalf("%s: %v", task, err)
+		}
+		if got := math.Float64bits(a.ReferenceQuality); got != golden[task] {
+			t.Errorf("%s: reference quality %v (0x%016x), want 0x%016x", task, a.ReferenceQuality, got, golden[task])
+		}
 	}
 }
 

@@ -35,8 +35,9 @@ func StartTest(sut SUT, qsl QuerySampleLibrary, settings TestSettings) (*Result,
 	}
 
 	// A new test is a new query series: SUTs that latch state at
-	// FlushQueries (e.g. backend.Batching's pass-through mode) re-arm here,
-	// so reusing one SUT across runs keeps its configured behavior.
+	// FlushQueries (backend.Remote puts the server's batcher in pass-through
+	// mode) re-arm here, so reusing one SUT across runs keeps its configured
+	// behavior.
 	if r, ok := sut.(interface{ Reopen() }); ok {
 		r.Reopen()
 	}

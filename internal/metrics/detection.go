@@ -80,12 +80,10 @@ func MeanAveragePrecision(detections []Detection, truths []GroundTruth, iouThres
 	}
 
 	gtBySample := make(map[int][]Box, len(truths))
-	classes := make(map[int]bool)
 	totalGT := make(map[int]int)
 	for _, t := range truths {
 		gtBySample[t.SampleIndex] = t.Boxes
 		for _, b := range t.Boxes {
-			classes[b.Class] = true
 			totalGT[b.Class]++
 		}
 	}
@@ -101,14 +99,17 @@ func MeanAveragePrecision(detections []Detection, truths []GroundTruth, iouThres
 		}
 	}
 
+	// Classes in ascending order: the mean is a float sum, and summing in
+	// map order would let its last bit vary from run to run.
+	classList := make([]int, 0, len(totalGT))
+	for class := range totalGT {
+		classList = append(classList, class)
+	}
+	sort.Ints(classList)
+
 	var apSum float64
-	var classCount int
-	for class := range classes {
+	for _, class := range classList {
 		nGT := totalGT[class]
-		if nGT == 0 {
-			continue
-		}
-		classCount++
 		dets := detsByClass[class]
 		sort.SliceStable(dets, func(i, j int) bool { return dets[i].box.Score > dets[j].box.Score })
 
@@ -163,8 +164,8 @@ func MeanAveragePrecision(detections []Detection, truths []GroundTruth, iouThres
 		}
 		apSum += ap
 	}
-	if classCount == 0 {
+	if len(classList) == 0 {
 		return 0, fmt.Errorf("metrics: ground truth holds no boxes")
 	}
-	return apSum / float64(classCount), nil
+	return apSum / float64(len(classList)), nil
 }

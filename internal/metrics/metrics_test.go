@@ -160,6 +160,39 @@ func TestMeanAveragePrecisionDuplicatesPenalized(t *testing.T) {
 	}
 }
 
+// TestMeanAveragePrecisionIsBitDeterministic: the mean over classes is a
+// float sum, so it must visit classes in a fixed order. Class k has 2k+3
+// ground-truth boxes and one correct detection, so its AP is 1/(2k+3) and
+// the sum of seven such terms depends on the order in its last bits.
+func TestMeanAveragePrecisionIsBitDeterministic(t *testing.T) {
+	box := func(class int) Box { return Box{X1: 0.1, Y1: 0.1, X2: 0.5, Y2: 0.5, Class: class, Score: 0.9} }
+	var det []Detection
+	var gt []GroundTruth
+	sample := 0
+	for class := 0; class < 7; class++ {
+		for n := 0; n < 2*class+3; n++ {
+			gt = append(gt, GroundTruth{SampleIndex: sample, Boxes: []Box{box(class)}})
+			if n == 0 {
+				det = append(det, Detection{SampleIndex: sample, Boxes: []Box{box(class)}})
+			}
+			sample++
+		}
+	}
+	first, err := MeanAveragePrecision(det, gt, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		m, err := MeanAveragePrecision(det, gt, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(m) != math.Float64bits(first) {
+			t.Fatalf("call %d: mAP %v (0x%x) differs from the first call's %v (0x%x)", i, m, math.Float64bits(m), first, math.Float64bits(first))
+		}
+	}
+}
+
 func TestMeanAveragePrecisionErrors(t *testing.T) {
 	if _, err := MeanAveragePrecision(nil, nil, 0.5); err == nil {
 		t.Error("no ground truth: expected error")

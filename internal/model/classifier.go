@@ -34,10 +34,10 @@ func (c *ClassifierConfig) normalize() error {
 
 // ImageClassifier is a CNN classifier built from an nn.Sequential backbone.
 type ImageClassifier struct {
-	info       Info
-	net        *nn.Sequential
-	inShape    []int
-	footprint  int // per-sample activation bytes; micro-batch derives live
+	info      Info
+	net       *nn.Sequential
+	inShape   []int
+	footprint int // per-sample activation bytes; micro-batch derives live
 }
 
 // Info returns the model's metadata with Params and OpsPerInput filled in.
@@ -48,52 +48,6 @@ func (m *ImageClassifier) InputShape() []int {
 	s := make([]int, len(m.inShape))
 	copy(s, m.inShape)
 	return s
-}
-
-// logitsOn validates the input and runs the forward pass, allocating
-// intermediates from s (or the heap when s is nil). The result is
-// arena-backed when s is non-nil and must not outlive the arena.
-func (m *ImageClassifier) logitsOn(img *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
-	if img.Rank() != 3 {
-		return nil, fmt.Errorf("model %s: want CHW input, got %v", m.info.Name, img.Shape())
-	}
-	return nn.ForwardWith(m.net, img, s)
-}
-
-// Logits implements Classifier. The forward pass runs on a pooled scratch
-// arena; the returned tensor is an independent copy the caller owns.
-func (m *ImageClassifier) Logits(img *tensor.Tensor) (*tensor.Tensor, error) {
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	logits, err := m.logitsOn(img, s)
-	if err != nil {
-		return nil, err
-	}
-	return logits.Clone(), nil
-}
-
-// Classify implements Classifier. Steady-state calls are allocation-free:
-// every intermediate tensor comes from a pooled scratch arena and only the
-// argmax leaves the pass.
-func (m *ImageClassifier) Classify(img *tensor.Tensor) (int, error) {
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	logits, err := m.logitsOn(img, s)
-	if err != nil {
-		return 0, err
-	}
-	return logits.ArgMax(), nil
-}
-
-// ClassifyReference runs the plain allocating forward pass (every layer
-// output on the heap, no arena). It is retained as the baseline the
-// zero-allocation Classify path is benchmarked against.
-func (m *ImageClassifier) ClassifyReference(img *tensor.Tensor) (int, error) {
-	logits, err := m.logitsOn(img, nil)
-	if err != nil {
-		return 0, err
-	}
-	return logits.ArgMax(), nil
 }
 
 // Weights implements WeightedModel.
@@ -195,8 +149,8 @@ const wideL2Budget = 1 << 20
 // NewWideResNetMini builds the weight-streaming classifier: the same residual
 // topology as the mini ResNet-50 but with 4× the channel widths, which puts
 // its weight tensors (~3.5 MB) well past a typical L2 cache (wideL2Budget).
-// Per-sample inference must then re-stream every weight panel from memory for
-// every sample, while a batched Predict streams each panel once per
+// A batch of one must then re-stream every weight panel from memory for
+// every sample, while a larger Predict streams each panel once per
 // micro-batch — the "large batch sizes to reach peak" effect of the paper's
 // throughput scenarios, reproduced at cache scale.
 func NewWideResNetMini(cfg ClassifierConfig) (*ImageClassifier, error) {

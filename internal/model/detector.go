@@ -51,15 +51,15 @@ func (c *DetectorConfig) normalize() error {
 // map, and a convolutional head that predicts, for every feature-map cell,
 // class scores and box offsets relative to the cell's anchor.
 type SSDDetector struct {
-	info       Info
-	backbone   *nn.Sequential
-	head       *nn.Conv
-	inShape    []int
-	classes    int
-	cfg        DetectorConfig
-	featH      int
-	featW      int
-	footprint  int // per-sample activation bytes; micro-batch derives live
+	info      Info
+	backbone  *nn.Sequential
+	head      *nn.Conv
+	inShape   []int
+	classes   int
+	cfg       DetectorConfig
+	featH     int
+	featW     int
+	footprint int // per-sample activation bytes; micro-batch derives live
 }
 
 // Info returns the model's metadata with Params and OpsPerInput filled in.
@@ -79,27 +79,10 @@ func (d *SSDDetector) Weights() []*tensor.Tensor {
 	return w
 }
 
-// Detect implements Detector. The raw head output is decoded into boxes with
-// a sigmoid score per class, a score threshold, and greedy non-maximum
-// suppression — the same post-processing shape as the reference SSD models.
-func (d *SSDDetector) Detect(img *tensor.Tensor) ([]metrics.Box, error) {
-	if img.Rank() != 3 {
-		return nil, fmt.Errorf("model %s: want CHW input, got %v", d.info.Name, img.Shape())
-	}
-	s := tensor.GetScratch()
-	defer tensor.PutScratch(s)
-	features, err := nn.ForwardWith(d.backbone, img, s)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := nn.ForwardWith(d.head, features, s)
-	if err != nil {
-		return nil, err
-	}
-	return d.decode(raw)
-}
-
-// decode converts the head's (perCell × H × W) output into scored boxes.
+// decode converts one sample's (perCell × H × W) head output into scored
+// boxes with a sigmoid score per class, a score threshold, and greedy
+// non-maximum suppression — the same post-processing shape as the reference
+// SSD models.
 func (d *SSDDetector) decode(raw *tensor.Tensor) ([]metrics.Box, error) {
 	shape := raw.Shape()
 	perCell := 4 + d.classes
@@ -150,8 +133,8 @@ func (d *SSDDetector) decode(raw *tensor.Tensor) ([]metrics.Box, error) {
 	return nonMaxSuppression(candidates, d.cfg.NMSIoU, d.cfg.MaxDetections), nil
 }
 
-// sigmoid64 matches tensor.Sigmoid's rounding exactly (float32 in, float64
-// math, float32 out) without allocating a one-element tensor per call.
+// sigmoid64 is the logistic function rounded through float32 (float32 in,
+// float64 math, float32 out), the precision the head's activations carry.
 func sigmoid64(x float64) float64 {
 	return float64(float32(1 / (1 + math.Exp(-float64(float32(x))))))
 }

@@ -10,14 +10,14 @@ import (
 	"mlperf/internal/tensor"
 )
 
-// Engine is the single batch-first inference contract between the model zoo
-// and every system under test. A backend hands an Engine a slice of samples —
-// one for a single-stream query, a whole merged query for the server/offline
-// batching path — and receives one Output per sample, in order. Implementers
-// must make Predict on a batch bit-for-bit identical to N single-sample
-// Predict calls (the batch-vs-single equivalence tests enforce this), so
-// dynamic batching is purely a throughput decision and never perturbs
-// accuracy-mode results.
+// Engine is the single inference contract between the model zoo and every
+// caller. A backend hands an Engine a slice of samples — one for a
+// single-stream query, a whole merged query for the server/offline batching
+// path — and receives one Output per sample, in order. Implementers must make
+// Predict on a batch of N bit-for-bit identical to N Predict calls on batches
+// of one (the equivalence tests enforce this, and pin the batch of one to
+// golden outputs), so dynamic batching is purely a throughput decision and
+// never perturbs accuracy-mode results.
 type Engine interface {
 	// Name identifies the model (e.g. "resnet50-v1.5") in results.
 	Name() string
@@ -126,6 +126,7 @@ func withScratch(s *tensor.Scratch, fn func(*tensor.Scratch) error) error {
 // with the whole query (the caller owns its lifecycle). Grouping does not
 // change results: Predict on any batch is bit-identical to per-sample calls,
 // so it is bit-identical under any grouping too.
+
 // microBatchCap bounds the derived size: beyond it the batched GEMMs'
 // weight-streaming amortization has flattened and response latency within a
 // merged query starts to dominate. The cache budget dividing the footprint is
@@ -259,7 +260,7 @@ func (m *ImageClassifier) Predict(samples []*dataset.Sample, s *tensor.Scratch) 
 			if err != nil {
 				return err
 			}
-			logits, err := m.net.ForwardBatch(batch, s)
+			logits, err := m.net.Forward(batch, s)
 			if err != nil {
 				return err
 			}
@@ -305,11 +306,11 @@ func (d *SSDDetector) Predict(samples []*dataset.Sample, s *tensor.Scratch) ([]O
 			if err != nil {
 				return err
 			}
-			features, err := d.backbone.ForwardBatch(batch, s)
+			features, err := d.backbone.Forward(batch, s)
 			if err != nil {
 				return err
 			}
-			raw, err := d.head.ForwardBatch(features, s)
+			raw, err := d.head.Forward(features, s)
 			if err != nil {
 				return err
 			}
@@ -349,12 +350,11 @@ func (g *GNMTMini) Kind() dataset.Kind { return dataset.KindTranslation }
 // ImageClassifier).
 func (g *GNMTMini) PreferredBatch() int { return microBatchFor(g.footprint) }
 
-// Predict implements Engine. Each micro-batch decodes as one batched greedy
-// pass: every recurrent step runs the active sentences through one GEMM per
-// weight matrix instead of a per-sentence MatVec loop, with finished
-// sentences compacting out of the batch (nn.Seq2Seq.TranslateBatch). Ragged
-// decoding lengths therefore cost only the steps they use, and every
-// sentence's tokens are bit-identical to a single-sentence Translate call.
+// Predict implements Engine. Each micro-batch decodes as one greedy pass:
+// every recurrent step runs the active sentences through one GEMM per weight
+// matrix, with finished sentences compacting out of the batch
+// (nn.Seq2Seq.TranslateBatch). Ragged decoding lengths therefore cost only
+// the steps they use, and a sentence's tokens do not depend on its batch.
 func (g *GNMTMini) Predict(samples []*dataset.Sample, s *tensor.Scratch) ([]Output, error) {
 	if len(samples) == 0 {
 		return nil, nil
@@ -382,94 +382,6 @@ func (g *GNMTMini) Predict(samples []*dataset.Sample, s *tensor.Scratch) ([]Outp
 	})
 	if err != nil {
 		return nil, err
-	}
-	return outputs, nil
-}
-
-// EngineFromClassifier wraps a single-sample Classifier in the Engine
-// contract, predicting sample by sample. It exists so hand-rolled classifiers
-// (and the per-sample baseline in benchmarks) plug into the batch-first
-// backend without implementing batching themselves.
-func EngineFromClassifier(name string, c Classifier) Engine {
-	return &classifierEngine{name: name, c: c}
-}
-
-type classifierEngine struct {
-	name string
-	c    Classifier
-}
-
-func (e *classifierEngine) Name() string       { return e.name }
-func (e *classifierEngine) Kind() dataset.Kind { return dataset.KindImageClassification }
-
-func (e *classifierEngine) Predict(samples []*dataset.Sample, _ *tensor.Scratch) ([]Output, error) {
-	outputs := make([]Output, len(samples))
-	for i, sample := range samples {
-		if sample == nil || sample.Image == nil {
-			return nil, fmt.Errorf("model %s: sample %d carries no image", e.name, i)
-		}
-		class, err := e.c.Classify(sample.Image)
-		if err != nil {
-			return nil, err
-		}
-		outputs[i] = Output{Kind: dataset.KindImageClassification, Class: class}
-	}
-	return outputs, nil
-}
-
-// EngineFromDetector wraps a single-sample Detector in the Engine contract.
-func EngineFromDetector(name string, d Detector) Engine {
-	return &detectorEngine{name: name, d: d}
-}
-
-type detectorEngine struct {
-	name string
-	d    Detector
-}
-
-func (e *detectorEngine) Name() string       { return e.name }
-func (e *detectorEngine) Kind() dataset.Kind { return dataset.KindObjectDetection }
-
-func (e *detectorEngine) Predict(samples []*dataset.Sample, _ *tensor.Scratch) ([]Output, error) {
-	outputs := make([]Output, len(samples))
-	for i, sample := range samples {
-		if sample == nil || sample.Image == nil {
-			return nil, fmt.Errorf("model %s: sample %d carries no image", e.name, i)
-		}
-		boxes, err := e.d.Detect(sample.Image)
-		if err != nil {
-			return nil, err
-		}
-		outputs[i] = Output{Kind: dataset.KindObjectDetection, Boxes: boxes}
-	}
-	return outputs, nil
-}
-
-// EngineFromTranslator wraps a single-sample Translator in the Engine
-// contract.
-func EngineFromTranslator(name string, t Translator) Engine {
-	return &translatorEngine{name: name, t: t}
-}
-
-type translatorEngine struct {
-	name string
-	t    Translator
-}
-
-func (e *translatorEngine) Name() string       { return e.name }
-func (e *translatorEngine) Kind() dataset.Kind { return dataset.KindTranslation }
-
-func (e *translatorEngine) Predict(samples []*dataset.Sample, _ *tensor.Scratch) ([]Output, error) {
-	outputs := make([]Output, len(samples))
-	for i, sample := range samples {
-		if sample == nil || sample.Tokens == nil {
-			return nil, fmt.Errorf("model %s: sample %d carries no tokens", e.name, i)
-		}
-		tokens, err := e.t.Translate(sample.Tokens)
-		if err != nil {
-			return nil, err
-		}
-		outputs[i] = Output{Kind: dataset.KindTranslation, Tokens: tokens}
 	}
 	return outputs, nil
 }

@@ -60,7 +60,9 @@ func requireSameOutputs(t *testing.T, got, want []Output, label string) {
 }
 
 // predictSingles runs Predict once per sample and concatenates the results —
-// the reference the batched path must match bit for bit.
+// what Predict on any batch must match bit for bit. (The batch of one is
+// itself pinned to golden outputs in golden_test.go and to the naive
+// reference forward in internal/nn.)
 func predictSingles(t *testing.T, e Engine, samples []*dataset.Sample) []Output {
 	t.Helper()
 	var out []Output
@@ -156,71 +158,9 @@ func TestPredictOnRecycledScratchIsStable(t *testing.T) {
 	requireSameOutputs(t, ragged, first[:4], "ragged batch on recycled arena")
 }
 
-func TestEngineAdaptersMatchNativePredict(t *testing.T) {
-	r := rand.New(rand.NewSource(34))
-	m, err := NewMobileNetV1Mini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := randSamples(r, 5, m.InputShape())
-	adapter := EngineFromClassifier("wrapped-mobilenet", m)
-	if adapter.Name() != "wrapped-mobilenet" || adapter.Kind() != dataset.KindImageClassification {
-		t.Error("adapter identity wrong")
-	}
-	got, err := adapter.Predict(samples, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := m.Predict(samples, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameOutputs(t, got, want, "classifier adapter")
-
-	d, err := NewSSDMobileNetMini(DetectorConfig{Classes: 5, ImageSize: 16, Seed: 8, ScoreThreshold: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	detAdapter := EngineFromDetector("wrapped-ssd", d)
-	if detAdapter.Kind() != dataset.KindObjectDetection {
-		t.Error("detector adapter kind wrong")
-	}
-	gotDet, err := detAdapter.Predict(samples, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDet, err := d.Predict(samples, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameOutputs(t, gotDet, wantDet, "detector adapter")
-
-	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := []*dataset.Sample{
-		{Index: 0, Tokens: []int{5, 9, 3}},
-		{Index: 1, Tokens: []int{7, 2, 2, 8}},
-	}
-	trAdapter := EngineFromTranslator("wrapped-gnmt", g)
-	if trAdapter.Kind() != dataset.KindTranslation {
-		t.Error("translator adapter kind wrong")
-	}
-	gotTr, err := trAdapter.Predict(text, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTr, err := g.Predict(text, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameOutputs(t, gotTr, wantTr, "translator adapter")
-}
-
 // TestTranslateGoldenOutputs pins GNMT greedy decoding to outputs recorded
-// before the recurrent path moved onto the scratch arena: the arena is a
-// memory optimization and must not change a single token.
+// from the original heap-allocating serial decoder: neither the arena nor
+// batching may change a single token.
 func TestTranslateGoldenOutputs(t *testing.T) {
 	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 4})
 	if err != nil {
@@ -239,11 +179,11 @@ func TestTranslateGoldenOutputs(t *testing.T) {
 		"2":            {2},
 	}
 	for key, src := range inputs {
-		got, err := g.Translate(src)
+		outs, err := g.Predict([]*dataset.Sample{{Tokens: src}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := golden[key]
+		got, want := outs[0].Tokens, golden[key]
 		if len(got) != len(want) {
 			t.Fatalf("src %s: %d tokens, want %d", key, len(got), len(want))
 		}
@@ -268,25 +208,10 @@ func randTextSamples(r *rand.Rand, n, vocab, maxLen int) []*dataset.Sample {
 	return out
 }
 
-// translateSingles runs the serial single-sentence Translate per sample — the
-// reference the batched Predict must match bit for bit.
-func translateSingles(t *testing.T, g *GNMTMini, samples []*dataset.Sample) []Output {
-	t.Helper()
-	out := make([]Output, len(samples))
-	for i, s := range samples {
-		tokens, err := g.Translate(s.Tokens)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = Output{Kind: dataset.KindTranslation, Tokens: tokens}
-	}
-	return out
-}
-
-// TestGNMTBatchMatchesSerialTranslate: batched greedy decoding over ragged
-// sentence lengths — including batches that span several micro-batches and
-// the single-sentence batch — is bit-identical to N serial Translate calls.
-func TestGNMTBatchMatchesSerialTranslate(t *testing.T) {
+// TestGNMTBatchMatchesSingles: greedy decoding over ragged sentence lengths —
+// including batches that span several micro-batches and the single-sentence
+// batch — is bit-identical to N Predict calls on one sentence each.
+func TestGNMTBatchMatchesSingles(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 10})
 	if err != nil {
@@ -299,13 +224,13 @@ func TestGNMTBatchMatchesSerialTranslate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameOutputs(t, got, translateSingles(t, g, samples), "gnmt batch")
+		requireSameOutputs(t, got, predictSingles(t, g, samples), "gnmt batch")
 	}
 }
 
 // TestGNMTBatchAllFinishImmediately: rigging the output bias so EOS always
 // wins makes every sentence finish on decode step 1; the batch must drain on
-// that step and return empty translations, exactly like the serial path.
+// that step and return empty translations, as each sentence alone does.
 func TestGNMTBatchAllFinishImmediately(t *testing.T) {
 	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 11})
 	if err != nil {
@@ -326,7 +251,7 @@ func TestGNMTBatchAllFinishImmediately(t *testing.T) {
 			t.Errorf("sentence %d produced %v, want empty", i, out.Tokens)
 		}
 	}
-	requireSameOutputs(t, got, translateSingles(t, g, samples), "all-EOS batch")
+	requireSameOutputs(t, got, predictSingles(t, g, samples), "all-EOS batch")
 }
 
 // TestGNMTBatchOnRecycledScratchIsStable: repeated batched passes over one
@@ -359,7 +284,7 @@ func TestGNMTBatchOnRecycledScratchIsStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameOutputs(t, ragged, first[:3], "ragged batch on recycled arena")
-	requireSameOutputs(t, first, translateSingles(t, g, samples), "arena passes vs serial")
+	requireSameOutputs(t, first, predictSingles(t, g, samples), "arena passes vs singles")
 }
 
 // TestMicroBatchDerivation pins the footprint-derived micro-batch sizes: the

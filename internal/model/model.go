@@ -8,30 +8,27 @@
 // quality metric and target) so the suite's quality-target machinery behaves
 // like the original.
 //
-// Every model is served through ONE batch-first contract, Engine: backends
-// hand Predict a slice of samples — a single-stream query or a whole merged
-// offline/server batch — and the CNN models execute it as one im2col+GEMM
-// per layer while the recurrent translator decodes the whole batch greedily,
-// one GEMM per weight matrix per step with finished sentences compacting out
-// of the active set (nn.Seq2Seq.TranslateBatch). Predict on a batch is
-// bit-identical to per-sample calls, so dynamic batching is purely a
-// scheduling decision.
+// Every model is reached through ONE contract, Engine, and Engine.Predict is
+// the only way to run a model: backends, the harness's calibration and the
+// tests all hand it a slice of samples — a single-stream query is a slice of
+// one, a merged offline/server query a long one — and the CNN models execute
+// it as one im2col+GEMM per layer while the recurrent translator decodes the
+// whole batch greedily, one GEMM per weight matrix per step with finished
+// sentences compacting out of the active set (nn.Seq2Seq.TranslateBatch).
+// Predict on a batch of N is bit-identical to N calls on batches of one, so
+// dynamic batching is purely a scheduling decision.
 //
 // Large batches run as micro-batches whose size each engine derives from its
 // per-sample activation footprint against a fixed cache budget (see
 // microBatchFor): wide-activation models batch shallow so one micro-batch's
 // working set stays cache-resident, the translator's tiny step state batches
 // to the cap. Engines publish the derived size through BatchSizer so
-// backends can size inference chunks to it. The narrower single-sample
-// interfaces (Classifier, Detector, Translator) remain for direct use and
-// calibration; EngineFromClassifier and friends adapt any of them into an
-// Engine.
+// backends can size inference chunks to it.
 package model
 
 import (
 	"fmt"
 
-	"mlperf/internal/metrics"
 	"mlperf/internal/tensor"
 )
 
@@ -57,26 +54,6 @@ const ResNet50Wide Name = "resnet50-wide"
 // AllNames lists every reference model in a stable order.
 func AllNames() []Name {
 	return []Name{ResNet50, MobileNetV1, SSDResNet34, SSDMobileNet, GNMT}
-}
-
-// Classifier produces a class prediction for an image.
-type Classifier interface {
-	// Classify returns the predicted class index for a CHW image.
-	Classify(img *tensor.Tensor) (int, error)
-	// Logits returns the raw class scores for a CHW image.
-	Logits(img *tensor.Tensor) (*tensor.Tensor, error)
-}
-
-// Detector produces bounding-box predictions for an image.
-type Detector interface {
-	// Detect returns scored, classed boxes for a CHW image.
-	Detect(img *tensor.Tensor) ([]metrics.Box, error)
-}
-
-// Translator maps a source-token sequence to a target-token sequence.
-type Translator interface {
-	// Translate returns the predicted target tokens for the source tokens.
-	Translate(tokens []int) ([]int, error)
 }
 
 // WeightedModel exposes a model's weight tensors for post-training

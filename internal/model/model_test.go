@@ -3,9 +3,19 @@ package model
 import (
 	"testing"
 
+	"mlperf/internal/dataset"
 	"mlperf/internal/stats"
 	"mlperf/internal/tensor"
 )
+
+// predictOne runs the engine on a single image.
+func predictOne(e Engine, img *tensor.Tensor) (Output, error) {
+	outs, err := e.Predict([]*dataset.Sample{{Image: img}}, nil)
+	if err != nil {
+		return Output{}, err
+	}
+	return outs[0], nil
+}
 
 func TestDescribeAllModels(t *testing.T) {
 	for _, n := range AllNames() {
@@ -55,24 +65,17 @@ func TestResNet50Mini(t *testing.T) {
 	}
 	img := tensor.MustNew(3, 16, 16)
 	img.Fill(0.1)
-	cls, err := m.Classify(img)
+	out, err := predictOne(m, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cls < 0 || cls >= 10 {
-		t.Errorf("class %d out of range", cls)
-	}
-	logits, err := m.Logits(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if logits.Len() != 10 {
-		t.Errorf("logit count = %d", logits.Len())
+	if out.Kind != dataset.KindImageClassification || out.Class < 0 || out.Class >= 10 {
+		t.Errorf("output %+v: class out of range", out)
 	}
 	if len(m.Weights()) == 0 {
 		t.Error("no weights exposed")
 	}
-	if _, err := m.Classify(tensor.MustNew(3, 16)); err == nil {
+	if _, err := predictOne(m, tensor.MustNew(3, 16)); err == nil {
 		t.Error("bad input rank: expected error")
 	}
 }
@@ -84,7 +87,7 @@ func TestMobileNetV1Mini(t *testing.T) {
 	}
 	img := tensor.MustNew(3, 16, 16)
 	img.Fill(-0.2)
-	if _, err := m.Classify(img); err != nil {
+	if _, err := predictOne(m, img); err != nil {
 		t.Fatal(err)
 	}
 	shape := m.InputShape()
@@ -145,9 +148,9 @@ func TestClassifierDeterminism(t *testing.T) {
 	for i := range img.Data() {
 		img.Data()[i] = float32(rng.NormFloat64())
 	}
-	ca, _ := a.Classify(img)
-	cb, _ := b.Classify(img)
-	if ca != cb {
+	ca, _ := predictOne(a, img)
+	cb, _ := predictOne(b, img)
+	if ca.Class != cb.Class {
 		t.Error("same-seed models disagree")
 	}
 }
@@ -166,10 +169,11 @@ func TestSSDDetectors(t *testing.T) {
 		for i := range img.Data() {
 			img.Data()[i] = float32(rng.NormFloat64())
 		}
-		boxes, err := d.Detect(img)
+		out, err := predictOne(d, img)
 		if err != nil {
 			t.Fatal(err)
 		}
+		boxes := out.Boxes
 		if len(boxes) > 10 {
 			t.Errorf("NMS kept %d boxes, cap is 10", len(boxes))
 		}
@@ -187,7 +191,7 @@ func TestSSDDetectors(t *testing.T) {
 		if len(d.Weights()) == 0 {
 			t.Error("no weights exposed")
 		}
-		if _, err := d.Detect(tensor.MustNew(4)); err == nil {
+		if _, err := predictOne(d, tensor.MustNew(4)); err == nil {
 			t.Error("bad input rank: expected error")
 		}
 	}
@@ -210,11 +214,11 @@ func TestGNMTMini(t *testing.T) {
 	if g.Info().Params <= 0 || g.Info().OpsPerInput <= 0 {
 		t.Error("missing computed metadata")
 	}
-	out, err := g.Translate([]int{5, 6, 7, 8})
+	outs, err := g.Predict([]*dataset.Sample{{Tokens: []int{5, 6, 7, 8}}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tok := range out {
+	for _, tok := range outs[0].Tokens {
 		if tok < 0 || tok >= 64 {
 			t.Errorf("token %d out of range", tok)
 		}

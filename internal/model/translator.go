@@ -42,9 +42,9 @@ func (c *TranslatorConfig) normalize() error {
 
 // GNMTMini is the miniature recurrent encoder–decoder translation model.
 type GNMTMini struct {
-	info       Info
-	net        *nn.Seq2Seq
-	footprint  int // per-sentence step-state bytes; micro-batch derives live
+	info      Info
+	net       *nn.Seq2Seq
+	footprint int // per-sentence step-state bytes; micro-batch derives live
 }
 
 // NewGNMTMini builds the translator.
@@ -90,11 +90,6 @@ func (g *GNMTMini) stepFootprintBytes() int {
 
 // Info returns the model's metadata with Params and OpsPerInput filled in.
 func (g *GNMTMini) Info() Info { return g.info }
-
-// Translate implements Translator.
-func (g *GNMTMini) Translate(tokens []int) ([]int, error) {
-	return g.net.Translate(tokens)
-}
 
 // Weights implements WeightedModel.
 func (g *GNMTMini) Weights() []*tensor.Tensor {

@@ -1,22 +1,25 @@
 // Package nn implements the neural-network layers and containers used to
 // build the miniature reference models of the benchmark suite (residual CNNs,
 // depthwise-separable CNNs, SSD detection heads and a recurrent
-// encoder–decoder). Layers run single samples through Forward/ForwardScratch
-// and, where profitable, whole merged batches through BatchLayer — one
-// kernel invocation per layer over channel-major batch tensors, bit-identical
-// to per-sample execution (the benchmark leaves batching strategy to the
-// submitter, Section IV-A; here it is a pure scheduling decision).
+// encoder–decoder). There is one way to run a layer: Forward takes a
+// channel-major batch — rank-4 [C, N, H, W] for spatial activations, rank-2
+// [F, N] for vectors — and runs it as one (or a small constant number of)
+// kernel invocations, with every intermediate drawn from the caller's
+// tensor.Scratch arena. One sample is a batch with N = 1, not a separate code
+// path, and a batch of N is bit-identical to N batches of one: the benchmark
+// leaves batching to the submitter (Section IV-A), and here it is a pure
+// scheduling decision. The package's tests hold every layer to a naive
+// per-sample reference forward (reference_test.go).
 //
-// The recurrent stack is batch-first too: LSTMCell.StepBatch advances N
+// The recurrent stack follows the same rule: LSTMCell.StepBatch advances N
 // sequences as one matrix step (states stacked feature-major [H, N], one
 // packed GEMM per weight matrix with the gate nonlinearities fused in the
 // epilogue), Embedding.LookupBatch gathers a token batch into [Dim, N], and
-// Seq2Seq.TranslateBatch runs batched greedy decoding with an active-sentence
-// mask: ragged sentences drop out of the encoder batch as their prefixes end
-// and out of the decoder batch the step they emit EOS, so per-step cost
-// shrinks as sentences terminate. Every batched column is bit-identical to
-// the corresponding single-sequence call; see rnn_batch.go for the layout and
-// compaction contract.
+// Seq2Seq.TranslateBatch runs greedy decoding with an active-sentence mask:
+// ragged sentences drop out of the encoder batch as their prefixes end and
+// out of the decoder batch the step they emit EOS, so per-step cost shrinks
+// as sentences terminate. See rnn_batch.go for the layout and compaction
+// contract.
 package nn
 
 import (
@@ -29,38 +32,24 @@ import (
 type Layer interface {
 	// Name returns a short human-readable identifier for logs and errors.
 	Name() string
-	// Forward runs the layer on one input sample and returns the output.
-	Forward(x *tensor.Tensor) (*tensor.Tensor, error)
-	// OutputShape returns the layer's output shape for the given input shape
-	// without running it.
+	// Forward runs the layer on a channel-major batch ([C, N, H, W] or
+	// [F, N]; see the layout discussion in internal/tensor/batched.go — a
+	// convolution's output GEMM lands directly in the next layer's input
+	// layout). Intermediates and the result come from s, which must be
+	// non-nil: the result is invalidated by the arena's next Reset and must
+	// be copied out if it outlives the pass. Column n of the result is
+	// bit-identical whatever the batch around it, which is what lets the
+	// dynamic batcher merge queries without perturbing accuracy-mode results.
+	Forward(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error)
+	// OutputShape returns the layer's per-sample output shape for the given
+	// per-sample input shape (CHW or a vector length) without running it.
 	OutputShape(in []int) ([]int, error)
 	// ParamCount returns the number of learned parameters.
 	ParamCount() int64
 	// Ops returns the number of multiply-accumulate-equivalent operations the
-	// layer performs on an input of the given shape. It is used to reproduce
+	// layer performs on one sample of the given shape. It is used to reproduce
 	// the GOPs-per-input figures of Table I.
 	Ops(in []int) (int64, error)
-}
-
-// ScratchLayer is implemented by layers that can run their forward pass with
-// all intermediate and output tensors allocated from a caller-provided
-// Scratch arena, so steady-state inference performs no per-sample heap
-// allocation. The returned tensor is arena-backed: it is invalidated by the
-// arena's next Reset and must be cloned if it outlives the pass.
-type ScratchLayer interface {
-	ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error)
-}
-
-// ForwardWith runs l on x, using the arena-backed fast path when s is
-// non-nil and the layer supports it, and the plain allocating Forward
-// otherwise.
-func ForwardWith(l Layer, x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
-	if s != nil {
-		if sl, ok := l.(ScratchLayer); ok {
-			return sl.ForwardScratch(x, s)
-		}
-	}
-	return l.Forward(x)
 }
 
 // Sequential chains layers; the output of layer i feeds layer i+1.
@@ -87,20 +76,10 @@ func (s *Sequential) Name() string { return s.name }
 func (s *Sequential) Layers() []Layer { return s.layers }
 
 // Forward implements Layer by running every contained layer in order.
-func (s *Sequential) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.forward(x, nil)
-}
-
-// ForwardScratch implements ScratchLayer; contained layers that support the
-// arena path use it, the rest fall back to Forward.
-func (s *Sequential) ForwardScratch(x *tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
-	return s.forward(x, sc)
-}
-
-func (s *Sequential) forward(x *tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
+func (s *Sequential) Forward(x *tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
 	cur := x
 	for _, l := range s.layers {
-		out, err := ForwardWith(l, cur, sc)
+		out, err := l.Forward(cur, sc)
 		if err != nil {
 			return nil, fmt.Errorf("nn: %s/%s: %w", s.name, l.Name(), err)
 		}
@@ -169,36 +148,23 @@ func (r *Residual) Name() string { return r.name }
 // Body returns the wrapped layer, e.g. for weight enumeration.
 func (r *Residual) Body() Layer { return r.body }
 
-// Forward implements Layer.
-func (r *Residual) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return r.forward(x, nil)
-}
-
-// ForwardScratch implements ScratchLayer.
-func (r *Residual) ForwardScratch(x *tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
-	return r.forward(x, sc)
-}
-
-func (r *Residual) forward(x *tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
+// Forward implements Layer. The element-wise shortcut add and ReLU act
+// identically per sample in any layout.
+func (r *Residual) Forward(x *tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
 	// The body may run in place over its input, so it gets a copy and the
 	// original x stays intact for the shortcut add.
-	var body *tensor.Tensor
-	if sc != nil {
-		body = sc.CloneTensor(x)
-	} else {
-		body = x.Clone()
-	}
-	out, err := ForwardWith(r.body, body, sc)
+	out, err := r.body.Forward(sc.CloneTensor(x), sc)
 	if err != nil {
 		return nil, fmt.Errorf("nn: %s: %w", r.name, err)
 	}
 	if !tensor.SameShape(out, x) {
 		return nil, fmt.Errorf("nn: %s: residual body changed shape from %v to %v", r.name, x.Shape(), out.Shape())
 	}
-	if err := out.Add(x); err != nil {
+	// Fused add+ReLU: one pass over the activations instead of two.
+	if err := tensor.AddThenReLU(out, x); err != nil {
 		return nil, err
 	}
-	return tensor.ReLU(out), nil
+	return out, nil
 }
 
 // OutputShape implements Layer.

@@ -30,7 +30,7 @@ func TestConvLayerShapesAndOps(t *testing.T) {
 	}
 	x := tensor.MustNew(3, 16, 16)
 	x.Fill(0.5)
-	y, err := conv.Forward(x)
+	y, err := forwardOne(t, conv, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +57,13 @@ func TestConvLayerShapeErrors(t *testing.T) {
 	if _, err := conv.Ops([]int{3, 2}); err == nil {
 		t.Error("bad rank: expected error")
 	}
+	// Forward takes a batch: a bare CHW sample is a rank error, not a batch.
+	if _, err := conv.Forward(tensor.MustNew(3, 8, 8), tensor.NewScratch()); err == nil {
+		t.Error("CHW input to Forward: expected error")
+	}
+	if _, err := conv.Forward(tensor.MustNew(4, 2, 8, 8), tensor.NewScratch()); err == nil {
+		t.Error("channel mismatch in Forward: expected error")
+	}
 }
 
 func TestDepthwiseConvLayer(t *testing.T) {
@@ -70,7 +77,7 @@ func TestDepthwiseConvLayer(t *testing.T) {
 	}
 	x := tensor.MustNew(4, 10, 10)
 	x.Fill(1)
-	y, err := dw.Forward(x)
+	y, err := forwardOne(t, dw, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +102,14 @@ func TestDenseLayer(t *testing.T) {
 	}
 	x := tensor.MustNew(4)
 	x.Fill(1)
-	y, err := d.Forward(x)
+	y, err := forwardOne(t, d, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if y.Len() != 3 {
 		t.Errorf("output length = %d", y.Len())
 	}
-	if _, err := d.Forward(tensor.MustNew(5)); err == nil {
+	if _, err := forwardOne(t, d, tensor.MustNew(5)); err == nil {
 		t.Error("wrong input size: expected error")
 	}
 }
@@ -131,7 +138,7 @@ func TestPoolAndSoftmaxLayers(t *testing.T) {
 	if _, err := sm.OutputShape([]int{3, 3}); err == nil {
 		t.Error("softmax on rank-2: expected error")
 	}
-	probs, err := sm.Forward(tensor.MustNew(10))
+	probs, err := forwardOne(t, sm, tensor.MustNew(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +176,7 @@ func TestSequentialComposition(t *testing.T) {
 	}
 	x := tensor.MustNew(1, 8, 8)
 	x.Fill(0.3)
-	y, err := model.Forward(x)
+	y, err := forwardOne(t, model, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +198,7 @@ func TestSequentialPropagatesErrors(t *testing.T) {
 		t.Error("expected shape error to propagate")
 	}
 	x := tensor.MustNew(1, 8, 8)
-	if _, err := model.Forward(x); err == nil {
+	if _, err := forwardOne(t, model, x); err == nil {
 		t.Error("expected forward error to propagate")
 	}
 	if _, err := model.Ops([]int{1, 8, 8}); err == nil {
@@ -216,7 +223,7 @@ func TestResidualBlock(t *testing.T) {
 	}
 	x := tensor.MustNew(4, 8, 8)
 	x.Fill(0.1)
-	y, err := res.Forward(x)
+	y, err := forwardOne(t, res, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +247,7 @@ func TestResidualShapeMismatchRejected(t *testing.T) {
 	if _, err := res.OutputShape([]int{4, 8, 8}); err == nil {
 		t.Error("expected shape-change rejection")
 	}
-	if _, err := res.Forward(tensor.MustNew(4, 8, 8)); err == nil {
+	if _, err := forwardOne(t, res, tensor.MustNew(4, 8, 8)); err == nil {
 		t.Error("expected forward rejection")
 	}
 }

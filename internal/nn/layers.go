@@ -8,7 +8,7 @@ import (
 	"mlperf/internal/tensor"
 )
 
-// Conv is a 2-D convolution layer over CHW inputs with optional fused ReLU.
+// Conv is a 2-D convolution layer over CHW samples with optional fused ReLU.
 type Conv struct {
 	name    string
 	Weights *tensor.Tensor // OIHW
@@ -32,49 +32,54 @@ func NewConv(name string, inC, outC, kernel, stride, padding int, rng *stats.RNG
 // Name implements Layer.
 func (c *Conv) Name() string { return c.name }
 
-// Forward implements Layer.
-func (c *Conv) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := tensor.Conv2D(x, c.Weights, c.Bias, tensor.Conv2DOptions{Stride: c.Stride, Padding: c.Padding})
+// Forward implements Layer: the whole batch runs as one im2col + one GEMM
+// (tensor.Conv2DBatchedInto) with the activation fused into its epilogue,
+// writing straight into the next layer's channel-major input layout.
+func (c *Conv) Forward(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
+	if x.Rank() != 4 {
+		return nil, fmt.Errorf("conv %s: want [C N H W] batch, got %v", c.name, x.Shape())
+	}
+	h, w, err := c.outDims(x.Dim(0), x.Dim(2), x.Dim(3))
 	if err != nil {
 		return nil, err
 	}
-	if c.Relu6 {
-		return tensor.ReLU6(out), nil
+	dst := s.Tensor(c.Weights.Dim(0), x.Dim(1), h, w)
+	post := tensor.PostNone
+	switch {
+	case c.Relu6:
+		post = tensor.PostReLU6
+	case c.Relu:
+		post = tensor.PostReLU
 	}
-	if c.Relu {
-		return tensor.ReLU(out), nil
-	}
-	return out, nil
-}
-
-// ForwardScratch implements ScratchLayer: the output and the im2col buffer
-// come from the arena. The output geometry is computed inline (duplicating
-// OutputShape) because OutputShape's []int round-trip would allocate on the
-// hot path; tensor.Conv2DInto re-validates the same arithmetic, so a drift
-// between the two copies fails loudly with a dst-shape error.
-func (c *Conv) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("conv %s: want CHW input, got %v", c.name, x.Shape())
-	}
-	if c.Stride <= 0 {
-		return nil, fmt.Errorf("conv %s: stride must be positive, got %d", c.name, c.Stride)
-	}
-	h := (x.Dim(1)+2*c.Padding-c.Weights.Dim(2))/c.Stride + 1
-	w := (x.Dim(2)+2*c.Padding-c.Weights.Dim(3))/c.Stride + 1
-	if h <= 0 || w <= 0 {
-		return nil, fmt.Errorf("conv %s: empty output for input %v", c.name, x.Shape())
-	}
-	out := s.Tensor(c.Weights.Dim(0), h, w)
-	if err := tensor.Conv2DInto(out, x, c.Weights, c.Bias, tensor.Conv2DOptions{Stride: c.Stride, Padding: c.Padding}, s); err != nil {
+	if err := tensor.Conv2DBatchedInto(dst, x, c.Weights, c.Bias, tensor.Conv2DOptions{Stride: c.Stride, Padding: c.Padding}, post, s); err != nil {
 		return nil, err
 	}
-	if c.Relu6 {
-		return tensor.ReLU6(out), nil
+	return dst, nil
+}
+
+// outDims returns the output plane of a ch × h × w sample. Forward and
+// OutputShape share it so the hot path sizes its output without building
+// shape slices.
+func (c *Conv) outDims(ch, h, w int) (hOut, wOut int, err error) {
+	if ch != c.Weights.Dim(1) {
+		return 0, 0, fmt.Errorf("conv %s: input channels %d != kernel channels %d", c.name, ch, c.Weights.Dim(1))
 	}
-	if c.Relu {
-		return tensor.ReLU(out), nil
+	return windowPlane("conv", c.name, h, w, c.Weights.Dim(2), c.Weights.Dim(3), c.Stride, c.Padding)
+}
+
+// windowPlane returns the plane a kh × kw window produces sliding over an
+// h × w plane padded by pad on every side — the one geometry convolutions and
+// pooling share.
+func windowPlane(kind, name string, h, w, kh, kw, stride, pad int) (hOut, wOut int, err error) {
+	if stride <= 0 || kh <= 0 || kw <= 0 {
+		return 0, 0, fmt.Errorf("%s %s: window %dx%d and stride %d must be positive", kind, name, kh, kw, stride)
 	}
-	return out, nil
+	hOut = (h+2*pad-kh)/stride + 1
+	wOut = (w+2*pad-kw)/stride + 1
+	if hOut <= 0 || wOut <= 0 {
+		return 0, 0, fmt.Errorf("%s %s: empty output for a %dx%d input", kind, name, h, w)
+	}
+	return hOut, wOut, nil
 }
 
 // OutputShape implements Layer.
@@ -82,16 +87,11 @@ func (c *Conv) OutputShape(in []int) ([]int, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("conv %s: want CHW input, got %v", c.name, in)
 	}
-	ws := c.Weights.Shape()
-	if in[0] != ws[1] {
-		return nil, fmt.Errorf("conv %s: input channels %d != kernel channels %d", c.name, in[0], ws[1])
+	h, w, err := c.outDims(in[0], in[1], in[2])
+	if err != nil {
+		return nil, err
 	}
-	h := (in[1]+2*c.Padding-ws[2])/c.Stride + 1
-	w := (in[2]+2*c.Padding-ws[3])/c.Stride + 1
-	if h <= 0 || w <= 0 {
-		return nil, fmt.Errorf("conv %s: empty output for input %v", c.name, in)
-	}
-	return []int{ws[0], h, w}, nil
+	return []int{c.Weights.Dim(0), h, w}, nil
 }
 
 // ParamCount implements Layer.
@@ -129,32 +129,27 @@ func NewDepthwiseConv(name string, channels, kernel, stride, padding int, rng *s
 func (d *DepthwiseConv) Name() string { return d.name }
 
 // Forward implements Layer.
-func (d *DepthwiseConv) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	out, err := tensor.DepthwiseConv2D(x, d.Weights, d.Bias, tensor.Conv2DOptions{Stride: d.Stride, Padding: d.Padding})
+func (d *DepthwiseConv) Forward(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
+	if x.Rank() != 4 {
+		return nil, fmt.Errorf("dwconv %s: want [C N H W] batch, got %v", d.name, x.Shape())
+	}
+	h, w, err := d.outDims(x.Dim(0), x.Dim(2), x.Dim(3))
 	if err != nil {
 		return nil, err
 	}
-	return tensor.ReLU6(out), nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (d *DepthwiseConv) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("dwconv %s: want CHW input, got %v", d.name, x.Shape())
-	}
-	if d.Stride <= 0 {
-		return nil, fmt.Errorf("dwconv %s: stride must be positive, got %d", d.name, d.Stride)
-	}
-	h := (x.Dim(1)+2*d.Padding-d.Weights.Dim(1))/d.Stride + 1
-	w := (x.Dim(2)+2*d.Padding-d.Weights.Dim(2))/d.Stride + 1
-	if h <= 0 || w <= 0 {
-		return nil, fmt.Errorf("dwconv %s: empty output for input %v", d.name, x.Shape())
-	}
-	out := s.Tensor(x.Dim(0), h, w)
-	if err := tensor.DepthwiseConv2DInto(out, x, d.Weights, d.Bias, tensor.Conv2DOptions{Stride: d.Stride, Padding: d.Padding}); err != nil {
+	dst := s.Tensor(x.Dim(0), x.Dim(1), h, w)
+	if err := tensor.DepthwiseConv2DBatchedInto(dst, x, d.Weights, d.Bias, tensor.Conv2DOptions{Stride: d.Stride, Padding: d.Padding}, tensor.PostReLU6); err != nil {
 		return nil, err
 	}
-	return tensor.ReLU6(out), nil
+	return dst, nil
+}
+
+// outDims returns the output plane of a ch × h × w sample (see Conv.outDims).
+func (d *DepthwiseConv) outDims(ch, h, w int) (hOut, wOut int, err error) {
+	if ch != d.Weights.Dim(0) {
+		return 0, 0, fmt.Errorf("dwconv %s: channel mismatch %d vs %d", d.name, ch, d.Weights.Dim(0))
+	}
+	return windowPlane("dwconv", d.name, h, w, d.Weights.Dim(1), d.Weights.Dim(2), d.Stride, d.Padding)
 }
 
 // OutputShape implements Layer.
@@ -162,14 +157,9 @@ func (d *DepthwiseConv) OutputShape(in []int) ([]int, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("dwconv %s: want CHW input, got %v", d.name, in)
 	}
-	ws := d.Weights.Shape()
-	if in[0] != ws[0] {
-		return nil, fmt.Errorf("dwconv %s: channel mismatch %d vs %d", d.name, in[0], ws[0])
-	}
-	h := (in[1]+2*d.Padding-ws[1])/d.Stride + 1
-	w := (in[2]+2*d.Padding-ws[2])/d.Stride + 1
-	if h <= 0 || w <= 0 {
-		return nil, fmt.Errorf("dwconv %s: empty output for input %v", d.name, in)
+	h, w, err := d.outDims(in[0], in[1], in[2])
+	if err != nil {
+		return nil, err
 	}
 	return []int{in[0], h, w}, nil
 }
@@ -188,7 +178,7 @@ func (d *DepthwiseConv) Ops(in []int) (int64, error) {
 	return perOut * int64(out[0]) * int64(out[1]) * int64(out[2]), nil
 }
 
-// Dense is a fully connected layer on 1-D inputs with optional fused ReLU.
+// Dense is a fully connected layer on vector samples with optional fused ReLU.
 type Dense struct {
 	name    string
 	Weights *tensor.Tensor // out × in
@@ -206,34 +196,15 @@ func NewDense(name string, in, out int, relu bool, rng *stats.RNG) *Dense {
 // Name implements Layer.
 func (d *Dense) Name() string { return d.name }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Rank() != 1 {
-		return nil, fmt.Errorf("dense %s: want rank-1 input, got %v", d.name, x.Shape())
+// Forward implements Layer: one GEMM of the weight matrix against the
+// feature-major batch covers every sample, with no reshuffling of either
+// operand.
+func (d *Dense) Forward(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
+	if x.Rank() != 2 || x.Dim(0) != d.Weights.Dim(1) {
+		return nil, fmt.Errorf("dense %s: want [%d N] batch, got %v", d.name, d.Weights.Dim(1), x.Shape())
 	}
-	y, err := tensor.MatVec(d.Weights, x)
-	if err != nil {
-		return nil, err
-	}
-	if err := y.Add(d.Bias); err != nil {
-		return nil, err
-	}
-	if d.Relu {
-		return tensor.ReLU(y), nil
-	}
-	return y, nil
-}
-
-// ForwardScratch implements ScratchLayer.
-func (d *Dense) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
-	if x.Rank() != 1 {
-		return nil, fmt.Errorf("dense %s: want rank-1 input, got %v", d.name, x.Shape())
-	}
-	y := s.Tensor(d.Weights.Dim(0))
-	if err := tensor.MatVecInto(y, d.Weights, x); err != nil {
-		return nil, err
-	}
-	if err := y.Add(d.Bias); err != nil {
+	y := s.Tensor(d.Weights.Dim(0), x.Dim(1))
+	if err := tensor.DenseBatchedInto(y, d.Weights, x, d.Bias); err != nil {
 		return nil, err
 	}
 	if d.Relu {
@@ -262,7 +233,7 @@ func (d *Dense) Ops(in []int) (int64, error) {
 	return 2 * int64(d.Weights.Len()), nil
 }
 
-// MaxPool is a max-pooling layer on CHW inputs.
+// MaxPool is a max-pooling layer on CHW samples.
 type MaxPool struct {
 	name   string
 	Window int
@@ -278,28 +249,19 @@ func NewMaxPool(name string, window, stride int) *MaxPool {
 func (m *MaxPool) Name() string { return m.name }
 
 // Forward implements Layer.
-func (m *MaxPool) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.MaxPool2D(x, m.Window, m.Stride)
-}
-
-// ForwardScratch implements ScratchLayer.
-func (m *MaxPool) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("maxpool %s: want CHW input, got %v", m.name, x.Shape())
+func (m *MaxPool) Forward(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
+	if x.Rank() != 4 {
+		return nil, fmt.Errorf("maxpool %s: want [C N H W] batch, got %v", m.name, x.Shape())
 	}
-	if m.Stride <= 0 || m.Window <= 0 {
-		return nil, fmt.Errorf("maxpool %s: window and stride must be positive", m.name)
-	}
-	h := (x.Dim(1)-m.Window)/m.Stride + 1
-	w := (x.Dim(2)-m.Window)/m.Stride + 1
-	if h <= 0 || w <= 0 {
-		return nil, fmt.Errorf("maxpool %s: empty output for input %v", m.name, x.Shape())
-	}
-	out := s.Tensor(x.Dim(0), h, w)
-	if err := tensor.MaxPool2DInto(out, x, m.Window, m.Stride); err != nil {
+	h, w, err := windowPlane("maxpool", m.name, x.Dim(2), x.Dim(3), m.Window, m.Window, m.Stride, 0)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	dst := s.Tensor(x.Dim(0), x.Dim(1), h, w)
+	if err := tensor.MaxPool2DBatchedInto(dst, x, m.Window, m.Stride); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // OutputShape implements Layer.
@@ -307,10 +269,9 @@ func (m *MaxPool) OutputShape(in []int) ([]int, error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("maxpool %s: want CHW input, got %v", m.name, in)
 	}
-	h := (in[1]-m.Window)/m.Stride + 1
-	w := (in[2]-m.Window)/m.Stride + 1
-	if h <= 0 || w <= 0 {
-		return nil, fmt.Errorf("maxpool %s: empty output for input %v", m.name, in)
+	h, w, err := windowPlane("maxpool", m.name, in[1], in[2], m.Window, m.Window, m.Stride, 0)
+	if err != nil {
+		return nil, err
 	}
 	return []int{in[0], h, w}, nil
 }
@@ -327,7 +288,7 @@ func (m *MaxPool) Ops(in []int) (int64, error) {
 	return int64(out[0]) * int64(out[1]) * int64(out[2]) * int64(m.Window*m.Window), nil
 }
 
-// GlobalAvgPool reduces CHW to a C-length vector.
+// GlobalAvgPool reduces each CHW sample to a C-length vector.
 type GlobalAvgPool struct{ name string }
 
 // NewGlobalAvgPool constructs a global average pooling layer.
@@ -336,21 +297,17 @@ func NewGlobalAvgPool(name string) *GlobalAvgPool { return &GlobalAvgPool{name: 
 // Name implements Layer.
 func (g *GlobalAvgPool) Name() string { return g.name }
 
-// Forward implements Layer.
-func (g *GlobalAvgPool) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return tensor.GlobalAvgPool2D(x)
-}
-
-// ForwardScratch implements ScratchLayer.
-func (g *GlobalAvgPool) ForwardScratch(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
-	if x.Rank() != 3 {
-		return nil, fmt.Errorf("gap %s: want CHW input, got %v", g.name, x.Shape())
+// Forward implements Layer: [C, N, H, W] reduces to the feature-major [C, N]
+// matrix the Dense head consumes directly.
+func (g *GlobalAvgPool) Forward(x *tensor.Tensor, s *tensor.Scratch) (*tensor.Tensor, error) {
+	if x.Rank() != 4 {
+		return nil, fmt.Errorf("gap %s: want [C N H W] batch, got %v", g.name, x.Shape())
 	}
-	out := s.Tensor(x.Dim(0))
-	if err := tensor.GlobalAvgPool2DInto(out, x); err != nil {
+	dst := s.Tensor(x.Dim(0), x.Dim(1))
+	if err := tensor.GlobalAvgPool2DBatchedInto(dst, x); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // OutputShape implements Layer.
@@ -372,7 +329,7 @@ func (g *GlobalAvgPool) Ops(in []int) (int64, error) {
 	return int64(in[0]) * int64(in[1]) * int64(in[2]), nil
 }
 
-// Softmax converts logits to probabilities.
+// Softmax converts each sample's logits to probabilities.
 type Softmax struct{ name string }
 
 // NewSoftmax constructs a softmax layer.
@@ -381,19 +338,27 @@ func NewSoftmax(name string) *Softmax { return &Softmax{name: name} }
 // Name implements Layer.
 func (s *Softmax) Name() string { return s.name }
 
-// Forward implements Layer.
-func (s *Softmax) Forward(x *tensor.Tensor) (*tensor.Tensor, error) { return tensor.Softmax(x) }
-
-// ForwardScratch implements ScratchLayer.
-func (s *Softmax) ForwardScratch(x *tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
-	if x.Rank() != 1 {
-		return nil, fmt.Errorf("softmax %s: want rank-1 input, got %v", s.name, x.Shape())
+// Forward implements Layer: softmax applies per column of the feature-major
+// batch.
+func (s *Softmax) Forward(x *tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
+	if x.Rank() != 2 {
+		return nil, fmt.Errorf("softmax %s: want [F N] batch, got %v", s.name, x.Shape())
 	}
-	out := sc.Tensor(x.Dim(0))
-	if err := tensor.SoftmaxInto(out, x); err != nil {
-		return nil, err
+	f, batch := x.Dim(0), x.Dim(1)
+	dst := sc.Tensor(f, batch)
+	col := sc.Tensor(f)
+	for n := 0; n < batch; n++ {
+		for r := 0; r < f; r++ {
+			col.Data()[r] = x.Data()[r*batch+n]
+		}
+		if err := tensor.SoftmaxInto(col, col); err != nil {
+			return nil, err
+		}
+		for r := 0; r < f; r++ {
+			dst.Data()[r*batch+n] = col.Data()[r]
+		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // OutputShape implements Layer.

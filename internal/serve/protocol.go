@@ -21,7 +21,7 @@ import (
 //	MsgPredict: u64 request id, u32 sample index, i64 absolute deadline
 //	            (UnixNano, 0 = none)
 //	MsgFlush:   empty — end of the query series; the batcher flushes and
-//	            switches to pass-through (backend.Batching semantics)
+//	            switches to pass-through (late requests dispatch at once)
 //	MsgReopen:  empty — re-arm batching for a new series
 //	MsgMetrics: u64 request id — ask for a metrics snapshot
 //

@@ -19,10 +19,10 @@
 //     waste service time.
 //
 //   - Dynamic batching: queued requests coalesce into one batched
-//     Engine.Predict call, up to MaxBatch within a BatchWait window, with
-//     backend.Batching's end-of-series semantics (MsgFlush switches to
-//     pass-through so stragglers are not held hostage by an armed timer;
-//     MsgReopen re-arms for the next run).
+//     Engine.Predict call, up to MaxBatch within a BatchWait window. MsgFlush
+//     marks the end of the query series: everything buffered goes out now and
+//     the batcher switches to pass-through, so stragglers are not held
+//     hostage by an armed timer; MsgReopen re-arms it for the next run.
 //
 //   - A worker pool: N workers drain batches concurrently through the
 //     engine's pooled scratch-arena inference path, so service parallelism
@@ -994,9 +994,9 @@ func (h *engineHost) admit(r *request) {
 	h.signal()
 }
 
-// flushSeries is the MsgFlush path: forward everything buffered now and stop
-// holding batches open for stragglers (backend.Batching's end-of-series
-// semantics).
+// flushSeries is the MsgFlush path: the query series has ended, so forward
+// everything buffered now and stop holding batches open for stragglers until
+// reopen.
 func (h *engineHost) flushSeries() {
 	h.mu.Lock()
 	h.passthrough = true

@@ -340,6 +340,51 @@ func TestDeadlineExpiresQueuedRequests(t *testing.T) {
 	}
 }
 
+// batchRecordingEngine is an echoEngine that records the size of every batch
+// the dispatcher hands it.
+type batchRecordingEngine struct {
+	echoEngine
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (e *batchRecordingEngine) Predict(samples []*dataset.Sample, s *tensor.Scratch) ([]model.Output, error) {
+	e.mu.Lock()
+	e.sizes = append(e.sizes, len(samples))
+	e.mu.Unlock()
+	return e.echoEngine.Predict(samples, s)
+}
+
+// TestDispatcherMergesUpToMaxBatch: requests that arrive separately reach the
+// engine merged into one Predict call once MaxBatch of them are queued, no
+// call ever exceeds MaxBatch however many are queued, and the under-full
+// remainder goes out at the end-of-series flush. The 10 s window means only
+// the size trigger and the flush can dispatch.
+func TestDispatcherMergesUpToMaxBatch(t *testing.T) {
+	eng := &batchRecordingEngine{}
+	s := newTestServer(t, Config{Engine: eng, Workers: 1, MaxBatch: 3, BatchWait: 10 * time.Second})
+	tc := dialTest(t, s.Addr())
+	const n = 7
+	for i := 0; i < n; i++ {
+		tc.predict(uint64(i+1), i, time.Time{})
+	}
+	full := tc.read(6) // two full batches dispatch on size alone
+	tc.control(MsgFlush)
+	for id, resp := range tc.read(1) {
+		full[id] = resp
+	}
+	for i := 0; i < n; i++ {
+		if full[uint64(i+1)].Status != StatusOK {
+			t.Errorf("request %d: %v", i+1, full[uint64(i+1)].Status)
+		}
+	}
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if got := fmt.Sprint(eng.sizes); got != "[3 3 1]" {
+		t.Errorf("engine saw batches %s, want [3 3 1]", got)
+	}
+}
+
 func TestFlushSwitchesToPassthroughAndReopenRearms(t *testing.T) {
 	s := newTestServer(t, Config{MaxBatch: 8, BatchWait: 10 * time.Second})
 	tc := dialTest(t, s.Addr())

@@ -2,11 +2,13 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"mlperf/internal/parallel"
 )
 
-// Batched kernel entry points. A batch of spatial activations is stored
+// Kernel entry points. Every kernel takes a batch; one sample is a batch of
+// one. A batch of spatial activations is stored
 // CHANNEL-MAJOR — a rank-4 [C, N, H, W] tensor — and a batch of feature
 // vectors is a rank-2 [F, N] tensor. The layout is chosen so the batched
 // convolution's single GEMM writes its output directly in the next layer's
@@ -21,11 +23,12 @@ import (
 // matrix. PackSample/UnpackSample convert between per-sample CHW tensors and
 // the batched layout at the boundaries.
 //
-// Every batched kernel is bit-for-bit identical to running its single-sample
-// counterpart per batch element: each output element accumulates exactly the
-// same terms in exactly the same order, regardless of batch size, batch
-// position or worker count. The batch-vs-single equivalence tests in
-// internal/model assert this end to end.
+// Every kernel on a batch of N is bit-for-bit identical to N runs on batches
+// of one: each output element accumulates exactly the same terms in exactly
+// the same order, regardless of batch size, batch position or worker count,
+// and that order is the serial reference's (the *Serial kernels in the
+// package's tests). The equivalence tests here and in internal/nn and
+// internal/model assert this kernel by kernel and end to end.
 
 // SubView returns a view of the i-th slice along the first axis (e.g. sample
 // i of a batch-major tensor). The view shares storage with t.
@@ -81,27 +84,10 @@ func UnpackSample(dst, batch *Tensor, n int) error {
 	return nil
 }
 
-// batchConvGeometry validates a channel-major [C, N, H, W] input against
-// kernels/bias and returns the batch size alongside the per-sample geometry.
-func batchConvGeometry(input, kernels, bias *Tensor, opts Conv2DOptions) (int, convGeom, error) {
-	if input.Rank() != 4 {
-		return 0, convGeom{}, fmt.Errorf("tensor: batched conv requires [C N H W] input, got %v", input.shape)
-	}
-	sample := &Tensor{
-		shape: []int{input.shape[0], input.shape[2], input.shape[3]},
-		data:  input.data[:input.shape[0]*input.shape[2]*input.shape[3]],
-	}
-	g, err := conv2DGeometry(sample, kernels, bias, opts)
-	if err != nil {
-		return 0, convGeom{}, err
-	}
-	return input.shape[1], g, nil
-}
-
-// PostOp is an element-wise epilogue a batched kernel applies to its output
-// while the just-computed panel is still cache-resident, instead of a
-// separate full-tensor pass afterwards. The values are identical to applying
-// tensor.ReLU / tensor.ReLU6 to the whole output.
+// PostOp is an element-wise epilogue a kernel applies to its output while
+// the just-computed panel is still cache-resident, instead of a separate
+// full-tensor pass afterwards. The values are identical to clamping the whole
+// output afterwards.
 type PostOp int
 
 // The supported fused epilogues.
@@ -132,6 +118,10 @@ func applyPost(seg []float32, post PostOp) {
 	}
 }
 
+// colsPool recycles im2col staging buffers for convolutions that run without
+// a caller arena or across workers.
+var colsPool = sync.Pool{New: func() any { return new([]float32) }}
+
 // Conv2DBatchedInto convolves a channel-major [C_in, N, H, W] batch with
 // kernels (C_out × C_in × KH × KW) into dst ([C_out, N, H_out, W_out]); the
 // GEMM writes dst directly in the next layer's input layout, with no
@@ -141,17 +131,21 @@ func applyPost(seg []float32, post PostOp) {
 //
 // The batch is processed in sample panels sized so one packed im2col panel
 // (k × panel-columns) stays cache-resident: the panel buffer is filled once
-// and reused by every group of output rows, giving the batched GEMM the same
-// locality as the single-sample path while its inner loops run the full
-// panel width — the win that makes merged offline/server queries faster than
+// and reused by every group of output rows, so the GEMM keeps a one-sample
+// working set's locality while its inner loops run the full panel width —
+// the win that makes merged offline/server queries faster than
 // sample-at-a-time inference even on one core. Panels have fixed boundaries
 // and are distributed over the worker pool for large batches; every output
 // element accumulates in the same order regardless of panel or worker count.
 func Conv2DBatchedInto(dst, input, kernels, bias *Tensor, opts Conv2DOptions, post PostOp, scratch *Scratch) error {
-	batch, g, err := batchConvGeometry(input, kernels, bias, opts)
+	if input.Rank() != 4 {
+		return fmt.Errorf("tensor: Conv2DBatchedInto requires [C N H W] input, got %v", input.shape)
+	}
+	g, err := conv2DGeometry(input.shape[0], input.shape[2], input.shape[3], kernels, bias, opts)
 	if err != nil {
 		return err
 	}
+	batch := input.shape[1]
 	if dst.Rank() != 4 || dst.shape[0] != g.cout || dst.shape[1] != batch || dst.shape[2] != g.hOut || dst.shape[3] != g.wOut {
 		return fmt.Errorf("tensor: Conv2DBatchedInto dst shape %v, want [%d %d %d %d]", dst.shape, g.cout, batch, g.hOut, g.wOut)
 	}
@@ -249,17 +243,13 @@ func Conv2DBatchedInto(dst, input, kernels, bias *Tensor, opts Conv2DOptions, po
 // DepthwiseConv2DBatchedInto applies the depthwise convolution to a
 // channel-major [C, N, H, W] batch, fusing post into the per-plane epilogue
 // while each freshly computed plane is cache-hot. Every (channel, sample)
-// plane runs the same inner kernel as the single-sample path, so results are
+// plane runs the same inner kernel whatever the batch size, so results are
 // bit-identical per element. Planes are distributed over the worker pool.
 func DepthwiseConv2DBatchedInto(dst, input, kernels, bias *Tensor, opts Conv2DOptions, post PostOp) error {
 	if input.Rank() != 4 {
 		return fmt.Errorf("tensor: DepthwiseConv2DBatchedInto wants [C N H W] input, got %v", input.shape)
 	}
-	sample := &Tensor{
-		shape: []int{input.shape[0], input.shape[2], input.shape[3]},
-		data:  input.data[:input.shape[0]*input.shape[2]*input.shape[3]],
-	}
-	g, err := depthwiseGeometry(sample, kernels, bias, opts)
+	g, err := depthwiseGeometry(input.shape[0], input.shape[2], input.shape[3], kernels, bias, opts)
 	if err != nil {
 		return err
 	}
@@ -297,19 +287,15 @@ func MaxPool2DBatchedInto(dst, input *Tensor, window, stride int) error {
 	if input.Rank() != 4 || dst.Rank() != 4 {
 		return fmt.Errorf("tensor: MaxPool2DBatchedInto wants [C N H W] tensors, got %v -> %v", input.shape, dst.shape)
 	}
-	sample := &Tensor{
-		shape: []int{input.shape[0], input.shape[2], input.shape[3]},
-		data:  input.data[:input.shape[0]*input.shape[2]*input.shape[3]],
-	}
-	c, hOut, wOut, err := maxPoolGeometry(sample, window, stride)
+	h, w := input.shape[2], input.shape[3]
+	hOut, wOut, err := maxPoolGeometry(h, w, window, stride)
 	if err != nil {
 		return err
 	}
-	batch := input.shape[1]
+	c, batch := input.shape[0], input.shape[1]
 	if dst.shape[0] != c || dst.shape[1] != batch || dst.shape[2] != hOut || dst.shape[3] != wOut {
 		return fmt.Errorf("tensor: MaxPool2DBatchedInto dst shape %v, want [%d %d %d %d]", dst.shape, c, batch, hOut, wOut)
 	}
-	h, w := input.shape[2], input.shape[3]
 	for p := 0; p < c*batch; p++ {
 		maxPoolPlane(dst.data[p*hOut*wOut:(p+1)*hOut*wOut], input.data[p*h*w:(p+1)*h*w],
 			window, stride, w, hOut, wOut)
@@ -354,8 +340,8 @@ func TransposeInto(dst, src *Tensor) error {
 // DenseBatchedInto computes Y = W × X (+ bias per output row) for weights W
 // (out × in) and a feature-major batch X ([in, N]), writing Y ([out, N]) as
 // one GEMM — no weight or activation reshuffling. Each output element
-// accumulates in ascending-k order from zero and then adds the bias, matching
-// MatVec-then-Add on the single-sample path bit for bit.
+// accumulates in ascending-k order from zero and then adds the bias — the
+// serial matrix–vector product followed by a vector add, bit for bit.
 func DenseBatchedInto(dst, weights, x, bias *Tensor) error {
 	if weights.Rank() != 2 || x.Rank() != 2 || weights.shape[1] != x.shape[0] {
 		return fmt.Errorf("tensor: DenseBatchedInto wants (out×in) weights and [in N] batch, got %v and %v", weights.shape, x.shape)

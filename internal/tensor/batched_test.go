@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// Batched kernels must be bit-for-bit identical to running the single-sample
-// kernel per batch element, for every batch size and batch position,
-// including on recycled scratch arenas. Samples live in the channel-major
-// [C, N, H, W] layout; PackSample/UnpackSample convert at the boundaries.
+// A kernel on a batch of N must be bit-for-bit identical to N runs on batches
+// of one, for every batch size and batch position, including on recycled
+// scratch arenas, and the batch of one must match the serial reference.
+// Samples live in the channel-major [C, N, H, W] layout;
+// PackSample/UnpackSample convert at the boundaries.
 
 // packAll packs CHW samples into a fresh channel-major batch.
 func packAll(t *testing.T, samples []*Tensor) *Tensor {
@@ -67,7 +68,7 @@ func TestConv2DBatchedMatchesSingleBitExact(t *testing.T) {
 		kernels := randFilled(r, cout, cin, k, k)
 		bias := randFilled(r, cout)
 
-		want0, err := Conv2D(samples[0], kernels, bias, opts)
+		want0, err := conv2D(samples[0], kernels, bias, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +80,16 @@ func TestConv2DBatchedMatchesSingleBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < batch; n++ {
-			want, err := Conv2D(samples[n], kernels, bias, opts)
+			want, err := conv2D(samples[n], kernels, bias, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireKernelMatch(t, unpackOne(t, dst, n), want, "Conv2DBatched sample")
+			serial, err := Conv2DSerial(samples[n], kernels, bias, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSerialMatch(t, want, serial, "Conv2DBatched batch of one")
 		}
 	}
 }
@@ -107,7 +113,7 @@ func TestDenseBatchedMatchesMatVecBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < batch; n++ {
-			want, err := MatVec(weights, vecs[n])
+			want, err := matVec(weights, vecs[n])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,19 +164,24 @@ func TestBatchedPoolingAndDepthwiseMatchSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < batch; n++ {
-			wantDW, err := DepthwiseConv2D(samples[n], kernels, bias, opts)
+			wantDW, err := depthwiseConv2D(samples[n], kernels, bias, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireBitIdentical(t, unpackOne(t, dwOut, n), wantDW, "DepthwiseConv2DBatched sample")
+			serialDW, err := DepthwiseConv2DSerial(samples[n], kernels, bias, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSerialMatch(t, wantDW, serialDW, "DepthwiseConv2DBatched batch of one")
 
-			wantMP, err := MaxPool2D(samples[n], 2, 2)
+			wantMP, err := MaxPool2DSerial(samples[n], 2, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireBitIdentical(t, unpackOne(t, mpOut, n), wantMP, "MaxPool2DBatched sample")
 
-			wantGAP, err := GlobalAvgPool2D(samples[n])
+			wantGAP, err := GlobalAvgPool2DSerial(samples[n])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +224,7 @@ func TestFusedPostOpsMatchSeparatePasses(t *testing.T) {
 	if err := DepthwiseConv2DBatchedInto(dwPlain, input, dwK, dwB, opts, PostNone); err != nil {
 		t.Fatal(err)
 	}
-	requireBitIdentical(t, dwFused, ReLU6(dwPlain), "fused depthwise ReLU6")
+	requireBitIdentical(t, dwFused, ReLU6Serial(dwPlain), "fused depthwise ReLU6")
 
 	a := randFilled(r, 2, 10)
 	bT := randFilled(r, 2, 10)
@@ -234,7 +245,7 @@ func TestGemmPanelingMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	a := randFilled(r, 9, 300)
 	bm := randFilled(r, 300, 4100) // k*n*4 far beyond gemmPanelBytes
-	got, err := MatMul(a, bm)
+	got, err := matMul(a, bm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,9 @@ func TestCalibrationApplyInstallsKnobs(t *testing.T) {
 	// stay bit-identical (the knob tests pin this in depth; spot-check here).
 	a := seededTensor(7, 40, 30)
 	b := seededTensor(8, 30, 50)
-	calibrated, _ := MatMul(a, b)
+	calibrated, _ := matMul(a, b)
 	SetParallelFlopThreshold(0)
 	SetGEMMPanelBytes(0)
-	defaulted, _ := MatMul(a, b)
+	defaulted, _ := matMul(a, b)
 	requireBitEqual(t, "MatMul calibrated vs default knobs", calibrated, defaulted)
 }

@@ -3,27 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sync"
-
-	"mlperf/internal/parallel"
 )
-
-// MatMul computes C = A × B for 2-D tensors A (m×k) and B (k×n) on the
-// blocked parallel engine. Results are deterministic across runs; see
-// MatMulSerial for the retained reference kernel.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("tensor: MatMul requires rank-2 operands, got %v and %v", a.shape, b.shape)
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		return nil, fmt.Errorf("tensor: MatMul inner dimensions differ: %d vs %d", k, k2)
-	}
-	c := MustNew(m, n)
-	gemmInto(c.data, a.data, b.data, nil, m, k, n)
-	return c, nil
-}
 
 // MatMulInto computes C = A × B into the caller-provided dst, which must have
 // shape m×n and must not alias a or b. dst is fully overwritten, so it may be
@@ -44,21 +24,6 @@ func MatMulInto(dst, a, b *Tensor) error {
 	return nil
 }
 
-// MatVec computes y = A × x for a 2-D tensor A (m×k) and 1-D tensor x (k),
-// parallelized across output rows.
-func MatVec(a, x *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 || x.Rank() != 1 {
-		return nil, fmt.Errorf("tensor: MatVec requires rank-2 and rank-1 operands, got %v and %v", a.shape, x.shape)
-	}
-	m, k := a.shape[0], a.shape[1]
-	if k != x.shape[0] {
-		return nil, fmt.Errorf("tensor: MatVec dimension mismatch: %d vs %d", k, x.shape[0])
-	}
-	y := MustNew(m)
-	matVecInto(y.data, a.data, x.data, m, k)
-	return y, nil
-}
-
 // MatVecInto computes y = A × x into the caller-provided dst (length m),
 // which must not alias a or x. dst is fully overwritten.
 func MatVecInto(dst, a, x *Tensor) error {
@@ -76,30 +41,30 @@ func MatVecInto(dst, a, x *Tensor) error {
 	return nil
 }
 
-// Conv2DOptions configures a 2-D convolution over NCHW-free single-image
-// tensors in CHW layout.
+// Conv2DOptions configures a 2-D convolution.
 type Conv2DOptions struct {
 	Stride  int
 	Padding int
 }
 
-// convGeom carries the validated dimensions of a standard convolution.
+// convGeom carries the validated per-sample dimensions of a standard
+// convolution.
 type convGeom struct {
 	cin, h, w    int
 	cout, kh, kw int
 	hOut, wOut   int
 }
 
-// conv2DGeometry validates operands and computes the output geometry.
-func conv2DGeometry(input, kernels, bias *Tensor, opts Conv2DOptions) (convGeom, error) {
-	var g convGeom
-	if input.Rank() != 3 || kernels.Rank() != 4 {
-		return g, fmt.Errorf("tensor: Conv2D requires CHW input and OIHW kernels, got %v and %v", input.shape, kernels.shape)
+// conv2DGeometry validates a cin × h × w sample against kernels/bias and
+// computes the output geometry.
+func conv2DGeometry(cin, h, w int, kernels, bias *Tensor, opts Conv2DOptions) (convGeom, error) {
+	g := convGeom{cin: cin, h: h, w: w}
+	if kernels.Rank() != 4 {
+		return g, fmt.Errorf("tensor: Conv2D requires OIHW kernels, got %v", kernels.shape)
 	}
 	if opts.Stride <= 0 {
 		return g, fmt.Errorf("tensor: Conv2D stride must be positive, got %d", opts.Stride)
 	}
-	g.cin, g.h, g.w = input.shape[0], input.shape[1], input.shape[2]
 	g.cout, g.kh, g.kw = kernels.shape[0], kernels.shape[2], kernels.shape[3]
 	if g.cin != kernels.shape[1] {
 		return g, fmt.Errorf("tensor: Conv2D channel mismatch: input %d vs kernel %d", g.cin, kernels.shape[1])
@@ -116,111 +81,9 @@ func conv2DGeometry(input, kernels, bias *Tensor, opts Conv2DOptions) (convGeom,
 	return g, nil
 }
 
-// Conv2D convolves input (C_in × H × W) with kernels (C_out × C_in × KH × KW)
-// and returns a (C_out × H_out × W_out) tensor. bias may be nil or a 1-D
-// tensor of length C_out.
-//
-// The implementation lowers the convolution to im2col followed by a blocked
-// parallel GEMM — the weight matrix is C_out × (C_in·KH·KW) in exactly the
-// OIHW storage order, so no weight reshuffling is needed. Pointwise (1×1,
-// stride 1, unpadded) convolutions skip im2col entirely and multiply against
-// the input in place. See Conv2DSerial for the reference kernel.
-func Conv2D(input, kernels, bias *Tensor, opts Conv2DOptions) (*Tensor, error) {
-	g, err := conv2DGeometry(input, kernels, bias, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := MustNew(g.cout, g.hOut, g.wOut)
-	conv2dCompute(out, input, kernels, bias, opts, g, nil)
-	return out, nil
-}
-
-// Conv2DInto convolves into the caller-provided dst, which must have the
-// output shape and must not alias input. scratch, when non-nil, supplies the
-// im2col buffer (otherwise an internal pool is used). dst is fully
-// overwritten.
-func Conv2DInto(dst, input, kernels, bias *Tensor, opts Conv2DOptions, scratch *Scratch) error {
-	g, err := conv2DGeometry(input, kernels, bias, opts)
-	if err != nil {
-		return err
-	}
-	if dst.Rank() != 3 || dst.shape[0] != g.cout || dst.shape[1] != g.hOut || dst.shape[2] != g.wOut {
-		return fmt.Errorf("tensor: Conv2DInto dst shape %v, want [%d %d %d]", dst.shape, g.cout, g.hOut, g.wOut)
-	}
-	conv2dCompute(dst, input, kernels, bias, opts, g, scratch)
-	return nil
-}
-
-// colsPool recycles im2col buffers for the non-Scratch convolution path.
-var colsPool = sync.Pool{New: func() any { return new([]float32) }}
-
-// conv2dCompute runs the validated im2col+GEMM pipeline.
-func conv2dCompute(out, input, kernels, bias *Tensor, opts Conv2DOptions, g convGeom, scratch *Scratch) {
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.data
-	}
-	k := g.cin * g.kh * g.kw
-	n := g.hOut * g.wOut
-
-	// Pointwise fast path: the input already is the im2col matrix.
-	if g.kh == 1 && g.kw == 1 && opts.Stride == 1 && opts.Padding == 0 {
-		gemmInto(out.data, kernels.data, input.data, biasData, g.cout, k, n)
-		return
-	}
-
-	var cols []float32
-	var pooled *[]float32
-	if scratch != nil {
-		cols = scratch.Floats(k * n)
-	} else {
-		pooled = colsPool.Get().(*[]float32)
-		if cap(*pooled) < k*n {
-			*pooled = make([]float32, k*n)
-		}
-		cols = (*pooled)[:k*n]
-	}
-
-	im2col(cols, input.data, opts, g)
-	gemmInto(out.data, kernels.data, cols, biasData, g.cout, k, n)
-
-	if pooled != nil {
-		colsPool.Put(pooled)
-	}
-}
-
-// im2col expands the input into a (C_in·KH·KW) × (H_out·W_out) matrix whose
-// row r = (ic·KH+ky)·KW+kx holds, for every output position, the input value
-// that kernel tap (ic, ky, kx) reads there (zero where the tap falls into
-// padding). Rows are independent, so the expansion is parallelized across
-// them for large outputs. cols is fully overwritten.
-func im2col(cols, in []float32, opts Conv2DOptions, g convGeom) {
-	rows := g.cin * g.kh * g.kw
-	n := g.hOut * g.wOut
-	if rows*n < ParallelFlopThreshold() || parallel.Default().Workers() == 1 {
-		im2colRows(cols, in, opts, g, 0, rows)
-		return
-	}
-	parallel.For(rows, 0, func(lo, hi int) {
-		im2colRows(cols, in, opts, g, lo, hi)
-	})
-}
-
-// im2colRows fills im2col matrix rows [r0, r1).
-func im2colRows(cols, in []float32, opts Conv2DOptions, g convGeom, r0, r1 int) {
-	n := g.hOut * g.wOut
-	for r := r0; r < r1; r++ {
-		ic := r / (g.kh * g.kw)
-		ky := r / g.kw % g.kh
-		kx := r % g.kw
-		im2colSampleRow(cols[r*n:r*n+n], in[ic*g.h*g.w:(ic+1)*g.h*g.w], opts, g, ky, kx)
-	}
-}
-
 // im2colSampleRow fills one im2col row segment (length hOut·wOut) for one
 // sample: the values kernel tap (ky, kx) reads from the channel plane src at
-// every output position, zero where the tap falls into padding. It is the
-// shared inner loop of the single-sample and batched im2col expansions.
+// every output position, zero where the tap falls into padding.
 func im2colSampleRow(dst, src []float32, opts Conv2DOptions, g convGeom, ky, kx int) {
 	stride, pad := opts.Stride, opts.Padding
 	offX := kx - pad
@@ -281,16 +144,16 @@ type dwGeom struct {
 	hOut, wOut int
 }
 
-// depthwiseGeometry validates operands and computes the output geometry.
-func depthwiseGeometry(input, kernels, bias *Tensor, opts Conv2DOptions) (dwGeom, error) {
-	var g dwGeom
-	if input.Rank() != 3 || kernels.Rank() != 3 {
-		return g, fmt.Errorf("tensor: DepthwiseConv2D requires CHW input and CHW kernels, got %v and %v", input.shape, kernels.shape)
+// depthwiseGeometry validates a c × h × w sample against kernels/bias and
+// computes the output geometry.
+func depthwiseGeometry(c, h, w int, kernels, bias *Tensor, opts Conv2DOptions) (dwGeom, error) {
+	g := dwGeom{c: c, h: h, w: w}
+	if kernels.Rank() != 3 {
+		return g, fmt.Errorf("tensor: DepthwiseConv2D requires CHW kernels, got %v", kernels.shape)
 	}
 	if opts.Stride <= 0 {
 		return g, fmt.Errorf("tensor: DepthwiseConv2D stride must be positive, got %d", opts.Stride)
 	}
-	g.c, g.h, g.w = input.shape[0], input.shape[1], input.shape[2]
 	g.kh, g.kw = kernels.shape[1], kernels.shape[2]
 	if g.c != kernels.shape[0] {
 		return g, fmt.Errorf("tensor: DepthwiseConv2D channel mismatch: %d vs %d", g.c, kernels.shape[0])
@@ -306,71 +169,10 @@ func depthwiseGeometry(input, kernels, bias *Tensor, opts Conv2DOptions) (dwGeom
 	return g, nil
 }
 
-// DepthwiseConv2D convolves each input channel with its own kernel
-// (C × KH × KW), as used by the MobileNet family's depthwise-separable
-// convolutions. bias may be nil or length C. Channels are independent and
-// are distributed over the worker pool; within a channel the kernel
-// accumulates whole output rows with the bounds checks hoisted out of the
-// inner loop. See DepthwiseConv2DSerial for the reference kernel.
-func DepthwiseConv2D(input, kernels, bias *Tensor, opts Conv2DOptions) (*Tensor, error) {
-	g, err := depthwiseGeometry(input, kernels, bias, opts)
-	if err != nil {
-		return nil, err
-	}
-	out := MustNew(g.c, g.hOut, g.wOut)
-	depthwiseCompute(out, input, kernels, bias, opts, g)
-	return out, nil
-}
-
-// DepthwiseConv2DInto convolves into the caller-provided dst, which must
-// have the output shape and must not alias input. dst is fully overwritten.
-func DepthwiseConv2DInto(dst, input, kernels, bias *Tensor, opts Conv2DOptions) error {
-	g, err := depthwiseGeometry(input, kernels, bias, opts)
-	if err != nil {
-		return err
-	}
-	if dst.Rank() != 3 || dst.shape[0] != g.c || dst.shape[1] != g.hOut || dst.shape[2] != g.wOut {
-		return fmt.Errorf("tensor: DepthwiseConv2DInto dst shape %v, want [%d %d %d]", dst.shape, g.c, g.hOut, g.wOut)
-	}
-	depthwiseCompute(dst, input, kernels, bias, opts, g)
-	return nil
-}
-
-func depthwiseCompute(out, input, kernels, bias *Tensor, opts Conv2DOptions, g dwGeom) {
-	var biasData []float32
-	if bias != nil {
-		biasData = bias.data
-	}
-	if g.c*g.hOut*g.wOut*g.kh*g.kw < ParallelFlopThreshold() || parallel.Default().Workers() == 1 {
-		depthwiseChannels(out.data, input.data, kernels.data, biasData, opts, g, 0, g.c)
-		return
-	}
-	parallel.For(g.c, 0, func(lo, hi int) {
-		depthwiseChannels(out.data, input.data, kernels.data, biasData, opts, g, lo, hi)
-	})
-}
-
-// depthwiseChannels computes output channels [c0, c1).
-func depthwiseChannels(out, in, kernels, bias []float32, opts Conv2DOptions, g dwGeom, c0, c1 int) {
-	for ch := c0; ch < c1; ch++ {
-		var bv float32
-		if bias != nil {
-			bv = bias[ch]
-		}
-		depthwisePlane(
-			out[ch*g.hOut*g.wOut:(ch+1)*g.hOut*g.wOut],
-			in[ch*g.h*g.w:(ch+1)*g.h*g.w],
-			kernels[ch*g.kh*g.kw:(ch+1)*g.kh*g.kw],
-			bv, opts, g)
-	}
-}
-
 // depthwisePlane convolves one spatial plane with one kernel. Each output row
 // is initialized to the bias and accumulated tap by tap over the valid range
 // of output positions, so the inner loops carry no bounds tests; accumulation
-// order per element matches the serial reference (ky then kx ascending). It
-// is the shared inner kernel of the single-sample and batched depthwise
-// convolutions.
+// order per element matches the serial reference (ky then kx ascending).
 func depthwisePlane(dst, src, ker []float32, bv float32, opts Conv2DOptions, g dwGeom) {
 	stride, pad := opts.Stride, opts.Padding
 	for oy := 0; oy < g.hOut; oy++ {
@@ -404,69 +206,21 @@ func depthwisePlane(dst, src, ker []float32, bv float32, opts Conv2DOptions, g d
 	}
 }
 
-// MaxPool2D applies max pooling with the given window and stride to a CHW
-// tensor; channels are distributed over the worker pool.
-func MaxPool2D(input *Tensor, window, stride int) (*Tensor, error) {
-	c, hOut, wOut, err := maxPoolGeometry(input, window, stride)
-	if err != nil {
-		return nil, err
-	}
-	out := MustNew(c, hOut, wOut)
-	maxPoolCompute(out, input, window, stride, hOut, wOut)
-	return out, nil
-}
-
-// MaxPool2DInto pools into the caller-provided dst, which must have the
-// output shape and must not alias input. dst is fully overwritten.
-func MaxPool2DInto(dst, input *Tensor, window, stride int) error {
-	c, hOut, wOut, err := maxPoolGeometry(input, window, stride)
-	if err != nil {
-		return err
-	}
-	if dst.Rank() != 3 || dst.shape[0] != c || dst.shape[1] != hOut || dst.shape[2] != wOut {
-		return fmt.Errorf("tensor: MaxPool2DInto dst shape %v, want [%d %d %d]", dst.shape, c, hOut, wOut)
-	}
-	maxPoolCompute(dst, input, window, stride, hOut, wOut)
-	return nil
-}
-
-func maxPoolGeometry(input *Tensor, window, stride int) (c, hOut, wOut int, err error) {
-	if input.Rank() != 3 {
-		return 0, 0, 0, fmt.Errorf("tensor: MaxPool2D requires CHW input, got %v", input.shape)
-	}
+// maxPoolGeometry validates the window against an h × w plane and computes
+// the pooled plane's dimensions.
+func maxPoolGeometry(h, w, window, stride int) (hOut, wOut int, err error) {
 	if window <= 0 || stride <= 0 {
-		return 0, 0, 0, fmt.Errorf("tensor: MaxPool2D window and stride must be positive")
+		return 0, 0, fmt.Errorf("tensor: MaxPool2D window and stride must be positive")
 	}
-	c = input.shape[0]
-	hOut = (input.shape[1]-window)/stride + 1
-	wOut = (input.shape[2]-window)/stride + 1
+	hOut = (h-window)/stride + 1
+	wOut = (w-window)/stride + 1
 	if hOut <= 0 || wOut <= 0 {
-		return 0, 0, 0, fmt.Errorf("tensor: MaxPool2D output would be empty")
+		return 0, 0, fmt.Errorf("tensor: MaxPool2D output would be empty")
 	}
-	return c, hOut, wOut, nil
+	return hOut, wOut, nil
 }
 
-func maxPoolCompute(out, input *Tensor, window, stride, hOut, wOut int) {
-	c := input.shape[0]
-	if c*hOut*wOut*window*window < ParallelFlopThreshold() || parallel.Default().Workers() == 1 {
-		maxPoolChannels(out, input, window, stride, hOut, wOut, 0, c)
-		return
-	}
-	parallel.For(c, 0, func(c0, c1 int) {
-		maxPoolChannels(out, input, window, stride, hOut, wOut, c0, c1)
-	})
-}
-
-func maxPoolChannels(out, input *Tensor, window, stride, hOut, wOut, c0, c1 int) {
-	h, w := input.shape[1], input.shape[2]
-	for ch := c0; ch < c1; ch++ {
-		maxPoolPlane(out.data[ch*hOut*wOut:(ch+1)*hOut*wOut], input.data[ch*h*w:(ch+1)*h*w],
-			window, stride, w, hOut, wOut)
-	}
-}
-
-// maxPoolPlane pools one spatial plane; shared by the single-sample and
-// batched pooling paths.
+// maxPoolPlane pools one spatial plane.
 func maxPoolPlane(dst, src []float32, window, stride, w, hOut, wOut int) {
 	for oy := 0; oy < hOut; oy++ {
 		for ox := 0; ox < wOut; ox++ {
@@ -484,50 +238,7 @@ func maxPoolPlane(dst, src []float32, window, stride, w, hOut, wOut int) {
 	}
 }
 
-// GlobalAvgPool2D reduces a CHW tensor to a length-C vector by averaging each
-// channel.
-func GlobalAvgPool2D(input *Tensor) (*Tensor, error) {
-	if input.Rank() != 3 {
-		return nil, fmt.Errorf("tensor: GlobalAvgPool2D requires CHW input, got %v", input.shape)
-	}
-	out := MustNew(input.shape[0])
-	globalAvgPoolCompute(out, input)
-	return out, nil
-}
-
-// GlobalAvgPool2DInto reduces into the caller-provided dst (length C). dst is
-// fully overwritten.
-func GlobalAvgPool2DInto(dst, input *Tensor) error {
-	if input.Rank() != 3 {
-		return fmt.Errorf("tensor: GlobalAvgPool2DInto requires CHW input, got %v", input.shape)
-	}
-	if dst.Rank() != 1 || dst.shape[0] != input.shape[0] {
-		return fmt.Errorf("tensor: GlobalAvgPool2DInto dst shape %v, want [%d]", dst.shape, input.shape[0])
-	}
-	globalAvgPoolCompute(dst, input)
-	return nil
-}
-
-func globalAvgPoolCompute(out, input *Tensor) {
-	c, h, w := input.shape[0], input.shape[1], input.shape[2]
-	if c*h*w < ParallelFlopThreshold() || parallel.Default().Workers() == 1 {
-		globalAvgPoolChannels(out, input, 0, c)
-		return
-	}
-	parallel.For(c, 0, func(c0, c1 int) {
-		globalAvgPoolChannels(out, input, c0, c1)
-	})
-}
-
-func globalAvgPoolChannels(out, input *Tensor, c0, c1 int) {
-	h, w := input.shape[1], input.shape[2]
-	for ch := c0; ch < c1; ch++ {
-		out.data[ch] = avgPlane(input.data[ch*h*w:(ch+1)*h*w], float32(h*w))
-	}
-}
-
-// avgPlane averages one spatial plane; shared by the single-sample and
-// batched global pooling paths (sum ascending, then one divide).
+// avgPlane averages one spatial plane (sum ascending, then one divide).
 func avgPlane(src []float32, area float32) float32 {
 	var sum float32
 	for _, v := range src {
@@ -544,47 +255,6 @@ func ReLU(t *Tensor) *Tensor {
 		}
 	}
 	return t
-}
-
-// ReLU6 applies min(max(0, x), 6) in place (MobileNet's activation).
-func ReLU6(t *Tensor) *Tensor {
-	for i, v := range t.data {
-		switch {
-		case v < 0:
-			t.data[i] = 0
-		case v > 6:
-			t.data[i] = 6
-		}
-	}
-	return t
-}
-
-// Sigmoid applies the logistic function in place.
-func Sigmoid(t *Tensor) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	return t
-}
-
-// Tanh applies the hyperbolic tangent in place.
-func Tanh(t *Tensor) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = float32(math.Tanh(float64(v)))
-	}
-	return t
-}
-
-// Softmax returns the softmax of a 1-D tensor as a new tensor.
-func Softmax(t *Tensor) (*Tensor, error) {
-	if t.Rank() != 1 {
-		return nil, fmt.Errorf("tensor: Softmax requires a rank-1 tensor, got %v", t.shape)
-	}
-	out := MustNew(t.shape[0])
-	if err := SoftmaxInto(out, t); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SoftmaxInto computes the softmax of a 1-D tensor into the caller-provided
@@ -616,45 +286,4 @@ func SoftmaxInto(dst, t *Tensor) error {
 		dst.data[i] = float32(float64(dst.data[i]) / sum)
 	}
 	return nil
-}
-
-// ScaleShift applies y = x*scale[c] + shift[c] per channel of a CHW tensor in
-// place; it is the inference-time (folded) form of batch normalization.
-func ScaleShift(t *Tensor, scale, shift *Tensor) error {
-	if t.Rank() != 3 || scale.Rank() != 1 || shift.Rank() != 1 {
-		return fmt.Errorf("tensor: ScaleShift requires CHW input and 1-D scale/shift")
-	}
-	c, h, w := t.shape[0], t.shape[1], t.shape[2]
-	if scale.shape[0] != c || shift.shape[0] != c {
-		return fmt.Errorf("tensor: ScaleShift channel mismatch: input %d, scale %d, shift %d", c, scale.shape[0], shift.shape[0])
-	}
-	for ch := 0; ch < c; ch++ {
-		s, b := scale.data[ch], shift.data[ch]
-		base := ch * h * w
-		for i := 0; i < h*w; i++ {
-			t.data[base+i] = t.data[base+i]*s + b
-		}
-	}
-	return nil
-}
-
-// Concat concatenates 1-D tensors into a single 1-D tensor.
-func Concat(tensors ...*Tensor) (*Tensor, error) {
-	total := 0
-	for _, t := range tensors {
-		if t.Rank() != 1 {
-			return nil, fmt.Errorf("tensor: Concat requires rank-1 tensors, got %v", t.shape)
-		}
-		total += t.shape[0]
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("tensor: Concat of zero elements")
-	}
-	out := MustNew(total)
-	off := 0
-	for _, t := range tensors {
-		copy(out.data[off:], t.data)
-		off += t.shape[0]
-	}
-	return out, nil
 }

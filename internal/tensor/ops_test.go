@@ -9,7 +9,7 @@ import (
 func TestMatMul(t *testing.T) {
 	a, _ := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b, _ := FromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := MatMul(a, b)
+	c, err := matMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,10 +24,10 @@ func TestMatMul(t *testing.T) {
 func TestMatMulErrors(t *testing.T) {
 	a := MustNew(2, 3)
 	b := MustNew(4, 2)
-	if _, err := MatMul(a, b); err == nil {
+	if _, err := matMul(a, b); err == nil {
 		t.Error("inner-dimension mismatch: expected error")
 	}
-	if _, err := MatMul(MustNew(2), b); err == nil {
+	if _, err := matMul(MustNew(2), b); err == nil {
 		t.Error("rank mismatch: expected error")
 	}
 }
@@ -35,14 +35,14 @@ func TestMatMulErrors(t *testing.T) {
 func TestMatVec(t *testing.T) {
 	a, _ := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	x, _ := FromSlice([]float32{5, 6}, 2)
-	y, err := MatVec(a, x)
+	y, err := matVec(a, x)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if y.At(0) != 17 || y.At(1) != 39 {
 		t.Errorf("MatVec = %v", y.Data())
 	}
-	if _, err := MatVec(a, MustNew(3)); err == nil {
+	if _, err := matVec(a, MustNew(3)); err == nil {
 		t.Error("dimension mismatch: expected error")
 	}
 }
@@ -54,7 +54,7 @@ func TestConv2DIdentityKernel(t *testing.T) {
 		7, 8, 9,
 	}, 1, 3, 3)
 	kernel, _ := FromSlice([]float32{1}, 1, 1, 1, 1)
-	out, err := Conv2D(input, kernel, nil, Conv2DOptions{Stride: 1})
+	out, err := conv2D(input, kernel, nil, Conv2DOptions{Stride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestConv2DKnownValues(t *testing.T) {
 	// 2x2 sum kernel, stride 1, no padding -> 2x2 output of window sums.
 	kernel, _ := FromSlice([]float32{1, 1, 1, 1}, 1, 1, 2, 2)
 	bias, _ := FromSlice([]float32{10}, 1)
-	out, err := Conv2D(input, kernel, bias, Conv2DOptions{Stride: 1})
+	out, err := conv2D(input, kernel, bias, Conv2DOptions{Stride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestConv2DPaddingAndStride(t *testing.T) {
 	input.Fill(1)
 	kernel := MustNew(2, 1, 3, 3)
 	kernel.Fill(1)
-	out, err := Conv2D(input, kernel, nil, Conv2DOptions{Stride: 2, Padding: 1})
+	out, err := conv2D(input, kernel, nil, Conv2DOptions{Stride: 2, Padding: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +106,13 @@ func TestConv2DPaddingAndStride(t *testing.T) {
 func TestConv2DErrors(t *testing.T) {
 	input := MustNew(2, 4, 4)
 	kernel := MustNew(1, 3, 3, 3) // channel mismatch
-	if _, err := Conv2D(input, kernel, nil, Conv2DOptions{Stride: 1}); err == nil {
+	if _, err := conv2D(input, kernel, nil, Conv2DOptions{Stride: 1}); err == nil {
 		t.Error("channel mismatch: expected error")
 	}
-	if _, err := Conv2D(input, MustNew(1, 2, 3, 3), nil, Conv2DOptions{Stride: 0}); err == nil {
+	if _, err := conv2D(input, MustNew(1, 2, 3, 3), nil, Conv2DOptions{Stride: 0}); err == nil {
 		t.Error("zero stride: expected error")
 	}
-	if _, err := Conv2D(input, MustNew(1, 2, 9, 9), nil, Conv2DOptions{Stride: 1}); err == nil {
+	if _, err := conv2D(input, MustNew(1, 2, 9, 9), nil, Conv2DOptions{Stride: 1}); err == nil {
 		t.Error("kernel larger than input: expected error")
 	}
 }
@@ -129,7 +129,7 @@ func TestDepthwiseConv2D(t *testing.T) {
 		1, 1, 1, 1,
 		2, 2, 2, 2,
 	}, 2, 2, 2)
-	out, err := DepthwiseConv2D(input, kernels, nil, Conv2DOptions{Stride: 1})
+	out, err := depthwiseConv2D(input, kernels, nil, Conv2DOptions{Stride: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDepthwiseConv2D(t *testing.T) {
 }
 
 func TestDepthwiseConv2DErrors(t *testing.T) {
-	if _, err := DepthwiseConv2D(MustNew(2, 4, 4), MustNew(3, 3, 3), nil, Conv2DOptions{Stride: 1}); err == nil {
+	if _, err := depthwiseConv2D(MustNew(2, 4, 4), MustNew(3, 3, 3), nil, Conv2DOptions{Stride: 1}); err == nil {
 		t.Error("channel mismatch: expected error")
 	}
 }
@@ -154,7 +154,7 @@ func TestMaxPool2D(t *testing.T) {
 		9, 10, 13, 14,
 		11, 12, 15, 16,
 	}, 1, 4, 4)
-	out, err := MaxPool2D(input, 2, 2)
+	out, err := maxPool2D(input, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +164,14 @@ func TestMaxPool2D(t *testing.T) {
 			t.Errorf("maxpool[%d] = %v, want %v", i, out.Data()[i], w)
 		}
 	}
-	if _, err := MaxPool2D(MustNew(1, 2, 2), 0, 1); err == nil {
+	if _, err := maxPool2D(MustNew(1, 2, 2), 0, 1); err == nil {
 		t.Error("zero window: expected error")
 	}
 }
 
 func TestGlobalAvgPool2D(t *testing.T) {
 	input, _ := FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 2, 2, 2)
-	out, err := GlobalAvgPool2D(input)
+	out, err := globalAvgPool2D(input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,27 +186,22 @@ func TestActivations(t *testing.T) {
 	if x.At(0) != 0 || x.At(3) != 8 {
 		t.Errorf("ReLU = %v", x.Data())
 	}
-	y, _ := FromSlice([]float32{-2, 0, 3, 8}, 4)
-	ReLU6(y)
-	if y.At(0) != 0 || y.At(3) != 6 {
-		t.Errorf("ReLU6 = %v", y.Data())
+	y := []float32{-2, 0, 3, 8}
+	applyPost(y, PostReLU6)
+	if y[0] != 0 || y[2] != 3 || y[3] != 6 {
+		t.Errorf("PostReLU6 = %v", y)
 	}
-	z, _ := FromSlice([]float32{0}, 1)
-	Sigmoid(z)
-	if math.Abs(float64(z.At(0))-0.5) > 1e-6 {
-		t.Errorf("Sigmoid(0) = %v", z.At(0))
-	}
-	w, _ := FromSlice([]float32{0}, 1)
-	Tanh(w)
-	if w.At(0) != 0 {
-		t.Errorf("Tanh(0) = %v", w.At(0))
+	z := []float32{-2, 0, 3, 8}
+	applyPost(z, PostReLU)
+	if z[0] != 0 || z[3] != 8 {
+		t.Errorf("PostReLU = %v", z)
 	}
 }
 
 func TestSoftmax(t *testing.T) {
 	x, _ := FromSlice([]float32{1, 2, 3}, 3)
-	s, err := Softmax(x)
-	if err != nil {
+	s := MustNew(3)
+	if err := SoftmaxInto(s, x); err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
@@ -222,54 +217,24 @@ func TestSoftmax(t *testing.T) {
 	if s.ArgMax() != 2 {
 		t.Errorf("softmax argmax = %d", s.ArgMax())
 	}
-	if _, err := Softmax(MustNew(2, 2)); err == nil {
+	if err := SoftmaxInto(MustNew(2, 2), MustNew(2, 2)); err == nil {
 		t.Error("rank-2 softmax: expected error")
+	}
+	if err := SoftmaxInto(MustNew(4), x); err == nil {
+		t.Error("softmax dst length mismatch: expected error")
 	}
 }
 
 func TestSoftmaxLargeValuesStable(t *testing.T) {
 	x, _ := FromSlice([]float32{1000, 1001, 1002}, 3)
-	s, err := Softmax(x)
-	if err != nil {
+	s := x // in place
+	if err := SoftmaxInto(s, x); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range s.Data() {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
 			t.Fatalf("softmax not numerically stable: %v", s.Data())
 		}
-	}
-}
-
-func TestScaleShift(t *testing.T) {
-	x, _ := FromSlice([]float32{1, 1, 1, 1, 2, 2, 2, 2}, 2, 2, 2)
-	scale, _ := FromSlice([]float32{2, 3}, 2)
-	shift, _ := FromSlice([]float32{1, -1}, 2)
-	if err := ScaleShift(x, scale, shift); err != nil {
-		t.Fatal(err)
-	}
-	if x.At(0, 0, 0) != 3 || x.At(1, 1, 1) != 5 {
-		t.Errorf("ScaleShift = %v", x.Data())
-	}
-	if err := ScaleShift(x, MustNew(3), shift); err == nil {
-		t.Error("channel mismatch: expected error")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a, _ := FromSlice([]float32{1, 2}, 2)
-	b, _ := FromSlice([]float32{3}, 1)
-	c, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 3 || c.At(2) != 3 {
-		t.Errorf("Concat = %v", c.Data())
-	}
-	if _, err := Concat(); err == nil {
-		t.Error("empty concat: expected error")
-	}
-	if _, err := Concat(MustNew(2, 2)); err == nil {
-		t.Error("rank-2 concat: expected error")
 	}
 }
 
@@ -289,13 +254,13 @@ func TestConv2DLinearityProperty(t *testing.T) {
 			in.Data()[i] = v
 		}
 		kernel, _ := FromSlice([]float32{1, 0, -1, 2}, 1, 1, 2, 2)
-		out1, err := Conv2D(in, kernel, nil, Conv2DOptions{Stride: 1})
+		out1, err := conv2D(in, kernel, nil, Conv2DOptions{Stride: 1})
 		if err != nil {
 			return false
 		}
 		scaled := in.Clone()
 		scaled.Scale(scale)
-		out2, err := Conv2D(scaled, kernel, nil, Conv2DOptions{Stride: 1})
+		out2, err := conv2D(scaled, kernel, nil, Conv2DOptions{Stride: 1})
 		if err != nil {
 			return false
 		}

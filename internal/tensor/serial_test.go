@@ -1,14 +1,15 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// This file retains the original single-threaded reference kernels. The
-// public MatMul / Conv2D / DepthwiseConv2D entry points now run the blocked,
-// parallel engine (gemm.go, ops.go); the *Serial variants here are the
-// numerical ground truth the equivalence tests compare against, and a
-// fallback for debugging kernel regressions. They are intentionally naive —
-// plain nested loops in the canonical accumulation order — so their results
-// are easy to reason about.
+// The single-threaded, single-sample reference kernels: the numerical ground
+// truth the equivalence tests compare the batched engine (gemm.go, ops.go,
+// batched.go) against. They are intentionally naive — plain nested loops in
+// the canonical accumulation order — so their results are easy to reason
+// about, and they live in a test file because nothing but tests calls them.
 
 // MatMulSerial computes C = A × B with the naive row-scalar loop.
 func MatMulSerial(a, b *Tensor) (*Tensor, error) {
@@ -61,7 +62,10 @@ func MatVecSerial(a, x *Tensor) (*Tensor, error) {
 
 // Conv2DSerial convolves with the direct six-deep loop nest.
 func Conv2DSerial(input, kernels, bias *Tensor, opts Conv2DOptions) (*Tensor, error) {
-	g, err := conv2DGeometry(input, kernels, bias, opts)
+	if input.Rank() != 3 {
+		return nil, fmt.Errorf("tensor: Conv2D requires CHW input, got %v", input.shape)
+	}
+	g, err := conv2DGeometry(input.shape[0], input.shape[1], input.shape[2], kernels, bias, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +105,10 @@ func Conv2DSerial(input, kernels, bias *Tensor, opts Conv2DOptions) (*Tensor, er
 
 // DepthwiseConv2DSerial convolves each channel with the direct loop nest.
 func DepthwiseConv2DSerial(input, kernels, bias *Tensor, opts Conv2DOptions) (*Tensor, error) {
-	g, err := depthwiseGeometry(input, kernels, bias, opts)
+	if input.Rank() != 3 {
+		return nil, fmt.Errorf("tensor: DepthwiseConv2D requires CHW input, got %v", input.shape)
+	}
+	g, err := depthwiseGeometry(input.shape[0], input.shape[1], input.shape[2], kernels, bias, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -135,4 +142,62 @@ func DepthwiseConv2DSerial(input, kernels, bias *Tensor, opts Conv2DOptions) (*T
 		}
 	}
 	return out, nil
+}
+
+// MaxPool2DSerial pools each channel of a CHW tensor with the direct loop
+// nest.
+func MaxPool2DSerial(input *Tensor, window, stride int) (*Tensor, error) {
+	if input.Rank() != 3 {
+		return nil, fmt.Errorf("tensor: MaxPool2D requires CHW input, got %v", input.shape)
+	}
+	c, h, w := input.shape[0], input.shape[1], input.shape[2]
+	hOut, wOut, err := maxPoolGeometry(h, w, window, stride)
+	if err != nil {
+		return nil, err
+	}
+	out := MustNew(c, hOut, wOut)
+	for ch := 0; ch < c; ch++ {
+		for oy := 0; oy < hOut; oy++ {
+			for ox := 0; ox < wOut; ox++ {
+				best := input.At(ch, oy*stride, ox*stride)
+				for ky := 0; ky < window; ky++ {
+					for kx := 0; kx < window; kx++ {
+						if v := input.At(ch, oy*stride+ky, ox*stride+kx); v > best {
+							best = v
+						}
+					}
+				}
+				out.Set(best, ch, oy, ox)
+			}
+		}
+	}
+	return out, nil
+}
+
+// GlobalAvgPool2DSerial averages each channel of a CHW tensor: sum ascending,
+// then one divide.
+func GlobalAvgPool2DSerial(input *Tensor) (*Tensor, error) {
+	if input.Rank() != 3 {
+		return nil, fmt.Errorf("tensor: GlobalAvgPool2D requires CHW input, got %v", input.shape)
+	}
+	c, h, w := input.shape[0], input.shape[1], input.shape[2]
+	out := MustNew(c)
+	for ch := 0; ch < c; ch++ {
+		var sum float32
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				sum += input.At(ch, y, x)
+			}
+		}
+		out.Set(sum/float32(h*w), ch)
+	}
+	return out, nil
+}
+
+// ReLU6Serial clamps every element to [0, 6] in place.
+func ReLU6Serial(t *Tensor) *Tensor {
+	for i, v := range t.data {
+		t.data[i] = float32(math.Min(math.Max(float64(v), 0), 6))
+	}
+	return t
 }

@@ -121,7 +121,7 @@ func TestGEMMSerialOracleAcrossTiers(t *testing.T) {
 				m, k, n := 1+r.Intn(50), 1+r.Intn(60), 1+r.Intn(70)
 				a := randFilled(r, m, k)
 				b := randFilled(r, k, n)
-				got, err := MatMul(a, b)
+				got, err := matMul(a, b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -244,8 +244,8 @@ func TestMatVecBitExactBelowFMA(t *testing.T) {
 	a := randFilled(r, m, k)
 	x := randFilled(r, k)
 	var want, got *Tensor
-	withTier(t, SIMDOff, func() { want, _ = MatVec(a, x) })
-	withTier(t, SIMDAVX2, func() { got, _ = MatVec(a, x) })
+	withTier(t, SIMDOff, func() { want, _ = matVec(a, x) })
+	withTier(t, SIMDAVX2, func() { got, _ = matVec(a, x) })
 	requireBitIdentical(t, got, want, "MatVec off vs avx2")
 }
 
@@ -395,11 +395,4 @@ func TestSetSIMDConcurrentWithKernels(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-swapDone
-}
-
-// TestLogActiveSIMD logs the live dispatch tier; scripts/bench.sh scrapes the
-// line to record which tier produced BENCH_PR8.json.
-func TestLogActiveSIMD(t *testing.T) {
-	t.Logf("simd-tier: %s", ActiveSIMD())
-	t.Logf("simd-supported: %s", SupportedSIMD())
 }

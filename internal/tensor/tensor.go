@@ -1,10 +1,14 @@
 // Package tensor implements the dense float32 tensors and compute kernels
 // (matrix multiply, 2-D convolution, pooling, element-wise math) that the
 // in-repo reference models are built from. The MLPerf reference models only
-// need a handful of operator shapes, so the package keeps one simple serial
-// reference per kernel (MatMulSerial, Conv2DSerial, ...) and layers speed on
-// top of it: blocked/panelled GEMM, im2col convolution, parallel row
-// dispatch, and hand-written SIMD microkernels.
+// need a handful of operator shapes, so the package has one entry point per
+// kernel and that entry point takes a batch — channel-major [C, N, H, W]
+// activations, feature-major [F, N] vectors, one sample being N = 1 (see
+// batched.go) — built from blocked/panelled GEMM, im2col convolution,
+// parallel row dispatch, and hand-written SIMD microkernels. The package's
+// tests carry one naive serial reference per kernel (MatMulSerial,
+// Conv2DSerial, ... in serial_test.go) that every fast path is compared
+// against.
 //
 // # SIMD dispatch tiers
 //
@@ -44,10 +48,10 @@
 // serving layer embeds it in every metrics snapshot so a fleet's kernel
 // configuration is auditable per replica.
 //
-// Keeping the serial kernels as the behavioural reference makes the
-// numerical behaviour easy to reason about when validating quantization
-// (Section III-B of the paper) — every fast path must reproduce or
-// tolerably approximate what the obvious loop computes.
+// Holding every kernel to the serial reference keeps the numerical behaviour
+// easy to reason about when validating quantization (Section III-B of the
+// paper) — every fast path must reproduce or tolerably approximate what the
+// obvious loop computes.
 package tensor
 
 import (

@@ -19,7 +19,7 @@ const (
 	// count below which forking to the worker pool costs more than it saves
 	// and kernels stay on the calling goroutine. Roughly half a millisecond
 	// of serial work — far above the fork overhead, and high enough that the
-	// miniature reference models run single-sample inference entirely inline,
+	// miniature reference models run a batch of one entirely inline,
 	// keeping their steady-state path allocation-free (the parallel fork
 	// allocates a small closure) and leaving cross-sample parallelism to the
 	// backend's batch path.

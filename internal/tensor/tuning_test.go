@@ -48,12 +48,12 @@ func TestFlopThresholdBothSides(t *testing.T) {
 	b := seededTensor(2, 64, 80)
 
 	SetParallelFlopThreshold(1) // 96*64*80 MACs >> 1: parallel dispatch
-	parallelOut, err := MatMul(a, b)
+	parallelOut, err := matMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	SetParallelFlopThreshold(1 << 30) // far above the workload: inline
-	serialOut, err := MatMul(a, b)
+	serialOut, err := matMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
