@@ -10,11 +10,7 @@
 package mlperf
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 
@@ -26,7 +22,6 @@ import (
 	"mlperf/internal/harness"
 	"mlperf/internal/loadgen"
 	"mlperf/internal/model"
-	"mlperf/internal/payload"
 	"mlperf/internal/quantize"
 	"mlperf/internal/serve"
 	"mlperf/internal/simhw"
@@ -1046,45 +1041,4 @@ func BenchmarkServingSwarm(b *testing.B) {
 	b.ReportMetric(qps, "qps")
 	b.ReportMetric(sessions, "sessions")
 	b.ReportMetric(churns, "churns")
-}
-
-// BenchmarkServingSwarmWire pins the steady-state swarm wire path: one op is
-// one request framed into a pooled buffer and written, plus one response
-// frame read back through the pooled reader and its binary-codec payload
-// decoded in place. The acceptance bar is 0 allocs/op — the zero-allocation
-// claim of the binary codec plus size-classed buffer pools, measured across
-// the full client send/receive cycle.
-func BenchmarkServingSwarmWire(b *testing.B) {
-	// One response frame as the server emits it:
-	// [u32 len][type][u64 id][status][binary payload].
-	payloadBytes := payload.AppendClass(nil, 7)
-	body := binary.BigEndian.AppendUint64(nil, 42)
-	body = append(body, byte(serve.StatusOK))
-	body = append(body, payloadBytes...)
-	respFrame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	respFrame = append(respFrame, serve.MsgPredict)
-	respFrame = append(respFrame, body...)
-
-	req := serve.PredictRequest{ID: 42, SampleIndex: 3}
-	stream := bytes.NewReader(nil)
-	reader := bufio.NewReader(stream)
-	_ = serve.WritePredictRequest(io.Discard, req) // warm the pools
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := serve.WritePredictRequest(io.Discard, req); err != nil {
-			b.Fatal(err)
-		}
-		stream.Reset(respFrame)
-		reader.Reset(stream)
-		frame, err := serve.ReadClientFrame(reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := payload.DecodeClass(frame.Predict.Data); err != nil {
-			b.Fatal(err)
-		}
-		frame.Release()
-	}
 }

@@ -53,7 +53,6 @@ import (
 	"mlperf/internal/capacity"
 	"mlperf/internal/core"
 	"mlperf/internal/harness"
-	"mlperf/internal/payload"
 	"mlperf/internal/serve"
 	"mlperf/internal/tensor"
 	"mlperf/internal/trace"
@@ -76,7 +75,6 @@ func main() {
 		autosize  = flag.Bool("autosize", false, "attach a capacity manager per replica: probe cgroup limits, grow/shrink worker pools and queues against observed load")
 		calibrate = flag.Bool("calibrate", false, "measure this machine's GEMM throughput, fork overhead and L2 at startup and derive the kernel tuning knobs from the measurements")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the metrics listener (requires -metrics-addr)")
-		codecName = flag.String("codec", "binary", "response payload codec: binary (compact varint framing) or json (for pre-codec peers)")
 		traceEach = flag.Int("trace", 0, "trace every Nth request through the request-path stages, plus every tail outlier (0 = tracing off)")
 		traceOut  = flag.String("trace-out", "", "write the captured spans as Chrome trace-event JSON to this file on shutdown (requires -trace)")
 	)
@@ -98,10 +96,6 @@ func main() {
 		kc.SIMD, tensor.SupportedSIMD(), kc.FlopThreshold, kc.PanelBytes, kc.Calibrated)
 
 	overload, err := serve.ParsePolicy(*policy)
-	if err != nil {
-		fatal(err)
-	}
-	codec, err := payload.ParseCodec(*codecName)
 	if err != nil {
 		fatal(err)
 	}
@@ -133,7 +127,7 @@ func main() {
 		fatal(fmt.Errorf("-trace-out needs -trace to capture anything"))
 	}
 
-	cfg := serve.Config{Policy: overload, BatchWait: *batchWait, Codec: codec, Tracer: tracer, EnablePprof: *pprofOn}
+	cfg := serve.Config{Policy: overload, BatchWait: *batchWait, Tracer: tracer, EnablePprof: *pprofOn}
 	for _, name := range tasks {
 		name = strings.TrimSpace(name)
 		assembly, err := harness.BuildNative(core.Task(name), harness.BuildOptions{

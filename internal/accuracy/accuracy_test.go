@@ -26,10 +26,7 @@ func classificationFixture(t *testing.T) (*dataset.SyntheticImages, []loadgen.Ac
 		if i >= 15 {
 			pred = (s.Label + 1) % 5
 		}
-		data, err := payload.EncodeClass(pred)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := payload.AppendClass(nil, pred)
 		log = append(log, loadgen.AccuracyEntry{QueryID: uint64(i), SampleIndex: i, Data: data})
 	}
 	return ds, log
@@ -73,10 +70,7 @@ func TestCheckDetection(t *testing.T) {
 		for j := range boxes {
 			boxes[j].Score = 0.9
 		}
-		data, err := payload.EncodeBoxes(boxes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := payload.AppendBoxes(nil, boxes)
 		log = append(log, loadgen.AccuracyEntry{SampleIndex: i, Data: data})
 	}
 	mAP, err := CheckDetection(log, ds, 0.5)
@@ -99,10 +93,7 @@ func TestCheckTranslation(t *testing.T) {
 	var log []loadgen.AccuracyEntry
 	for i := 0; i < ds.Size(); i++ {
 		s, _ := ds.Sample(i)
-		data, err := payload.EncodeTokens(s.RefTokens)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := payload.AppendTokens(nil, s.RefTokens)
 		log = append(log, loadgen.AccuracyEntry{SampleIndex: i, Data: data})
 	}
 	bleu, err := CheckTranslation(log, ds)
@@ -165,7 +156,7 @@ func TestVerifyConsistency(t *testing.T) {
 		t.Errorf("compared %d entries, want 3", n)
 	}
 	// Mismatching data must be flagged.
-	tampered, _ := payload.EncodeClass(4)
+	tampered := payload.AppendClass(nil, 4)
 	bad := []loadgen.AccuracyEntry{{SampleIndex: accLog[0].SampleIndex, Data: tampered}}
 	if _, err := VerifyConsistency(bad, accLog); err == nil {
 		t.Error("tampered response: expected error")

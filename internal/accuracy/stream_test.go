@@ -55,10 +55,7 @@ func TestStreamCheckerMatchesBatchCheck(t *testing.T) {
 		for j := range boxes {
 			boxes[j].Score = 0.9
 		}
-		data, err := payload.EncodeBoxes(boxes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := payload.AppendBoxes(nil, boxes)
 		detLog = append(detLog, loadgen.AccuracyEntry{SampleIndex: i, Data: data})
 	}
 	detBatch, err := Check(detLog, detDS, 0.5, 0.4)
@@ -78,10 +75,7 @@ func TestStreamCheckerMatchesBatchCheck(t *testing.T) {
 	var textLog []loadgen.AccuracyEntry
 	for i := 0; i < textDS.Size(); i++ {
 		s, _ := textDS.Sample(i)
-		data, err := payload.EncodeTokens(s.RefTokens)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := payload.AppendTokens(nil, s.RefTokens)
 		textLog = append(textLog, loadgen.AccuracyEntry{SampleIndex: i, Data: data})
 	}
 	textBatch, err := Check(textLog, textDS, 24, 23)

@@ -35,7 +35,7 @@ func (s *honestSUT) IssueQuery(q *loadgen.Query) {
 		}
 		responses := make([]loadgen.Response, len(q.Samples))
 		for i, smp := range q.Samples {
-			data, _ := payload.EncodeClass(smp.Index % 7)
+			data := payload.AppendClass(nil, smp.Index%7)
 			responses[i] = loadgen.Response{SampleID: smp.ID, Data: data}
 		}
 		q.Complete(responses)
@@ -61,7 +61,7 @@ func (s *flakySUT) IssueQuery(q *loadgen.Query) {
 	s.mu.Unlock()
 	responses := make([]loadgen.Response, len(q.Samples))
 	for i, smp := range q.Samples {
-		data, _ := payload.EncodeClass(c % 5)
+		data := payload.AppendClass(nil, c%5)
 		responses[i] = loadgen.Response{SampleID: smp.ID, Data: data}
 	}
 	q.Complete(responses)
@@ -98,7 +98,7 @@ func (s *cachingSUT) IssueQuery(q *loadgen.Query) {
 			} else {
 				time.Sleep(s.slow)
 			}
-			data, _ := payload.EncodeClass(smp.Index % 7)
+			data := payload.AppendClass(nil, smp.Index%7)
 			q.Complete([]loadgen.Response{{SampleID: smp.ID, Data: data}})
 		}
 	}()
@@ -126,7 +126,7 @@ func (s *seedTunedSUT) IssueQuery(q *loadgen.Query) {
 			if !onScript {
 				time.Sleep(5 * time.Millisecond)
 			}
-			data, _ := payload.EncodeClass(smp.Index % 7)
+			data := payload.AppendClass(nil, smp.Index%7)
 			q.Complete([]loadgen.Response{{SampleID: smp.ID, Data: data}})
 		}
 	}()
@@ -148,7 +148,7 @@ func (s *recordingSUT) IssueQuery(q *loadgen.Query) {
 	s.mu.Lock()
 	for i, smp := range q.Samples {
 		s.indices = append(s.indices, smp.Index)
-		data, _ := payload.EncodeClass(smp.Index % 7)
+		data := payload.AppendClass(nil, smp.Index%7)
 		responses[i] = loadgen.Response{SampleID: smp.ID, Data: data}
 	}
 	s.mu.Unlock()

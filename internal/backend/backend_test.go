@@ -182,7 +182,7 @@ func TestNativeDefaultsNameFromEngine(t *testing.T) {
 // poisonStore serves a wrong-shaped image for one index so a batched Predict
 // over a chunk containing it fails as a whole.
 type poisonStore struct {
-	inner  SampleStore
+	inner  dataset.Store
 	poison int
 }
 
@@ -392,7 +392,7 @@ func TestSimulatedBackendOracle(t *testing.T) {
 	w := simhw.StandardWorkloads()["mobilenet-v1"]
 	sut, err := NewSimulated(SimulatedConfig{
 		Platform: platform, Workload: w, TimeScale: 1000, Seed: 5,
-		Oracle: func(idx int) ([]byte, error) { return payload.EncodeClass(idx % 3) },
+		Oracle: func(idx int) ([]byte, error) { return payload.AppendClass(nil, idx%3), nil },
 	})
 	if err != nil {
 		t.Fatal(err)

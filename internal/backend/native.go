@@ -18,7 +18,7 @@
 //     With several Addrs it is the replica router: each sample goes to the
 //     live replica with the fewest requests in flight, bounded by a
 //     per-replica in-flight window. With Model set it addresses one named
-//     engine on a multi-model server (V2 frames). Shed load completes its
+//     engine on a multi-model server. Shed load completes its
 //     queries with Dropped responses (the LoadGen invalidates the run) and
 //     serving metrics are fetchable merged (ServerMetrics) or per replica
 //     (ReplicaMetrics). The Remote is fault tolerant by default: requests
@@ -51,11 +51,6 @@ import (
 	"mlperf/internal/tensor"
 )
 
-// SampleStore provides samples by index; dataset.QSL satisfies it.
-type SampleStore interface {
-	Get(index int) (*dataset.Sample, error)
-}
-
 // NativeConfig configures a Native backend.
 type NativeConfig struct {
 	// Name labels the SUT in results; it defaults to the engine's name.
@@ -64,7 +59,7 @@ type NativeConfig struct {
 	// payload the backend expects from Store.
 	Engine model.Engine
 	// Store provides input samples.
-	Store SampleStore
+	Store dataset.Store
 	// Workers is the number of concurrent inference workers. It defaults to
 	// runtime.GOMAXPROCS(0), floored at 2, so multi-sample (offline/server)
 	// traffic saturates every core while the issue loop can still overlap

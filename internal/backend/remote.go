@@ -31,7 +31,7 @@ type RemoteConfig struct {
 	// which keeps outputs bit-identical no matter which replica answers.
 	Addrs []string
 	// Model addresses one of the server's hosted models by id. Empty drives
-	// the server's default model with V1 frames (the PR 4 wire format).
+	// the server's default model.
 	Model string
 	// Name labels the SUT in results; defaults to "remote(<addrs>)".
 	Name string
@@ -103,9 +103,9 @@ type RemoteConfig struct {
 	// feeds the tail tracker (outliers beyond the live p99 estimate are
 	// retained with their end-to-end latency), and one request in every
 	// Tracer.SampleEvery is head-sampled — it carries a trace id to the
-	// server in a V3 frame, records the client's issue/acquire/write/await/
-	// decode stages, and folds the server's span block from the traced
-	// response into one cross-process record. Nil disables tracing with
+	// server, records the client's issue/acquire/write/await/decode stages,
+	// and folds the server's span block from the response into one
+	// cross-process record. Nil disables tracing with
 	// zero per-request cost.
 	Tracer *trace.Tracer
 	// TolerateDown lets NewRemote succeed even when some replicas refuse
@@ -701,7 +701,7 @@ func (rc *remoteConn) readLoop(gen uint64, c net.Conn) {
 			return
 		}
 		switch frame.Type {
-		case serve.MsgPredict, serve.MsgPredictTraced:
+		case serve.MsgPredict:
 			if rc.resolve(frame.Predict) {
 				// The query settled synchronously and nothing retains
 				// resp.Data past completion (the accuracy log copies; sinks
@@ -925,7 +925,7 @@ func jitter(d time.Duration, rng *stats.RNG) time.Duration {
 }
 
 // probe runs the health-probe handshake on a fresh, not-yet-installed
-// connection: the server must answer the V2 probe frame ProbeReady within
+// connection: the server must answer the probe frame ProbeReady within
 // ProbeTimeout. A draining (retiring) or unresponsive server is not
 // readmitted — the supervisor keeps backing off instead.
 func (r *Remote) probe(c net.Conn) error {
@@ -1004,7 +1004,7 @@ func (rc *remoteConn) isDead() bool {
 // the new epoch for per-replica metrics merging.
 func (rep *replica) rejoinBarrier(rc *remoteConn) error {
 	err := rc.write(func(w io.Writer) error {
-		return serve.WriteControlModel(w, serve.MsgReopen, rep.r.cfg.Model)
+		return serve.WriteControl(w, serve.MsgReopen, rep.r.cfg.Model)
 	})
 	if err != nil {
 		return err
@@ -1061,7 +1061,7 @@ func (r *Remote) control(msgType byte) {
 		if rc == nil {
 			continue
 		}
-		err := rc.write(func(w io.Writer) error { return serve.WriteControlModel(w, msgType, r.cfg.Model) })
+		err := rc.write(func(w io.Writer) error { return serve.WriteControl(w, msgType, r.cfg.Model) })
 		if err != nil && !r.closing.Load() && !rep.down.Load() {
 			r.errs.add(fmt.Errorf("backend %s: sending control frame %d to %s: %w", r.cfg.Name, msgType, rep.addr, err))
 		}
@@ -1190,7 +1190,7 @@ func (rep *replica) metricsOn(rc *remoteConn) (serve.Snapshot, error) {
 	rc.metrics[id] = ch
 	rc.mu.Unlock()
 
-	if err := rc.write(func(w io.Writer) error { return serve.WriteMetricsRequestModel(w, id, r.cfg.Model) }); err != nil {
+	if err := rc.write(func(w io.Writer) error { return serve.WriteMetricsRequest(w, id, r.cfg.Model) }); err != nil {
 		rc.mu.Lock()
 		delete(rc.metrics, id)
 		rc.mu.Unlock()

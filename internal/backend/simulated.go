@@ -112,7 +112,7 @@ func (s *Simulated) IssueQuery(q *loadgen.Query) {
 				}
 			}
 			if data == nil {
-				data, _ = payload.EncodeClass(smp.Index)
+				data = payload.AppendClass(nil, smp.Index)
 			}
 			responses[i] = loadgen.Response{SampleID: smp.ID, Data: data}
 		}

@@ -95,8 +95,8 @@ func TestTracedLoopbackRoundTrip(t *testing.T) {
 }
 
 // TestTracedClientUntracedServer: a traced client against a server with no
-// tracer degrades gracefully — the server answers with plain V1 response
-// frames, nothing drops, and client records simply lack the server block.
+// tracer degrades gracefully — the server answers with the trace flag
+// clear, nothing drops, and client records simply lack the server block.
 func TestTracedClientUntracedServer(t *testing.T) {
 	clientTr := trace.New(trace.Config{SampleEvery: 1})
 	client, server := tracedSweep(t, clientTr, nil)
@@ -116,7 +116,7 @@ func TestTracedClientUntracedServer(t *testing.T) {
 	}
 }
 
-// TestUntracedClientTracedServer: an untraced client never emits V3 frames,
+// TestUntracedClientTracedServer: an untraced client never sets the trace flag,
 // so a traced server sees only untraced requests; its ring holds at most
 // tail-capture records (trace id 0) and the sweep still completes cleanly.
 func TestUntracedClientTracedServer(t *testing.T) {

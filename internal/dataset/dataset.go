@@ -51,6 +51,12 @@ type Sample struct {
 	RefTokens []int          // translation reference
 }
 
+// Store provides resident samples by index to whatever runs inference on
+// them (backend.Native, serve.Server); QSL satisfies it.
+type Store interface {
+	Get(index int) (*Sample, error)
+}
+
 // Dataset is an indexed collection of samples with known ground truth.
 type Dataset interface {
 	// Name returns the data set's identifier (e.g. "synthetic-imagenet").

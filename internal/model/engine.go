@@ -43,35 +43,15 @@ type Output struct {
 }
 
 // Encode serializes the output into the suite's response wire format
-// (internal/payload, default binary codec), ready to hand back to the
-// LoadGen.
+// (internal/payload), ready to hand back to the LoadGen.
 func (o Output) Encode() ([]byte, error) {
-	return o.AppendTo(nil, payload.CodecBinary)
+	return o.AppendTo(nil)
 }
 
-// AppendTo appends the output's wire encoding under the given codec to dst
-// and returns the extended slice. With the binary codec and sufficient
-// capacity in dst it does not allocate, which is what lets the serving
-// response path run entirely on pooled buffers.
-func (o Output) AppendTo(dst []byte, codec payload.Codec) ([]byte, error) {
-	if codec == payload.CodecJSON {
-		var data []byte
-		var err error
-		switch o.Kind {
-		case dataset.KindImageClassification:
-			data, err = payload.EncodeClassJSON(o.Class)
-		case dataset.KindObjectDetection:
-			data, err = payload.EncodeBoxesJSON(o.Boxes)
-		case dataset.KindTranslation:
-			data, err = payload.EncodeTokensJSON(o.Tokens)
-		default:
-			return nil, fmt.Errorf("model: cannot encode output of kind %v", o.Kind)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, data...), nil
-	}
+// AppendTo appends the output's wire encoding to dst and returns the extended
+// slice. With sufficient capacity in dst it does not allocate, which is what
+// lets the serving response path run entirely on pooled buffers.
+func (o Output) AppendTo(dst []byte) ([]byte, error) {
 	switch o.Kind {
 	case dataset.KindImageClassification:
 		return payload.AppendClass(dst, o.Class), nil

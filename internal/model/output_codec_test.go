@@ -8,10 +8,9 @@ import (
 	"mlperf/internal/payload"
 )
 
-// A mixed-version deployment has binary-codec peers and JSON peers answering
-// the same queries; the two encodings of one Output must decode to the same
-// prediction or accuracy scoring would depend on which replica answered.
-func TestOutputCodecEquivalence(t *testing.T) {
+// Every Output kind must decode back to the prediction it encodes, whether
+// it is encoded fresh (Encode) or appended behind a frame prefix (AppendTo).
+func TestOutputEncodeRoundTrip(t *testing.T) {
 	outputs := []Output{
 		{Kind: dataset.KindImageClassification, Class: 42},
 		{Kind: dataset.KindImageClassification, Class: 0},
@@ -22,47 +21,43 @@ func TestOutputCodecEquivalence(t *testing.T) {
 		{Kind: dataset.KindTranslation, Tokens: []int{1, 0, 512, 3}},
 	}
 	for i, out := range outputs {
-		bin, err := out.AppendTo(nil, payload.CodecBinary)
+		data, err := out.Encode()
 		if err != nil {
-			t.Fatalf("output %d: binary encode: %v", i, err)
+			t.Fatalf("output %d: encode: %v", i, err)
 		}
-		js, err := out.AppendTo(nil, payload.CodecJSON)
-		if err != nil {
-			t.Fatalf("output %d: json encode: %v", i, err)
-		}
-		for _, data := range [][]byte{bin, js} {
-			switch out.Kind {
-			case dataset.KindImageClassification:
-				got, err := payload.DecodeClass(data)
-				if err != nil || got != out.Class {
-					t.Errorf("output %d: class decode %d, %v", i, got, err)
+		switch out.Kind {
+		case dataset.KindImageClassification:
+			got, err := payload.DecodeClass(data)
+			if err != nil || got != out.Class {
+				t.Errorf("output %d: class decode %d, %v", i, got, err)
+			}
+		case dataset.KindObjectDetection:
+			got, err := payload.DecodeBoxes(data)
+			if err != nil || len(got) != len(out.Boxes) {
+				t.Fatalf("output %d: box decode %v (%d boxes)", i, err, len(got))
+			}
+			for j := range got {
+				if got[j] != out.Boxes[j] {
+					t.Errorf("output %d box %d: %+v != %+v", i, j, got[j], out.Boxes[j])
 				}
-			case dataset.KindObjectDetection:
-				got, err := payload.DecodeBoxes(data)
-				if err != nil || len(got) != len(out.Boxes) {
-					t.Fatalf("output %d: box decode %v (%d boxes)", i, err, len(got))
-				}
-				for j := range got {
-					if got[j] != out.Boxes[j] {
-						t.Errorf("output %d box %d: %+v != %+v", i, j, got[j], out.Boxes[j])
-					}
-				}
-			case dataset.KindTranslation:
-				got, err := payload.DecodeTokens(data)
-				if err != nil || len(got) != len(out.Tokens) {
-					t.Fatalf("output %d: token decode %v", i, err)
-				}
-				for j := range got {
-					if got[j] != out.Tokens[j] {
-						t.Errorf("output %d token %d: %d != %d", i, j, got[j], out.Tokens[j])
-					}
+			}
+		case dataset.KindTranslation:
+			got, err := payload.DecodeTokens(data)
+			if err != nil || len(got) != len(out.Tokens) {
+				t.Fatalf("output %d: token decode %v", i, err)
+			}
+			for j := range got {
+				if got[j] != out.Tokens[j] {
+					t.Errorf("output %d token %d: %d != %d", i, j, got[j], out.Tokens[j])
 				}
 			}
 		}
-		// Encode() is the default entry point; it must match the binary path.
-		def, err := out.Encode()
-		if err != nil || string(def) != string(bin) {
-			t.Errorf("output %d: Encode() diverges from binary AppendTo", i)
+		prefixed, err := out.AppendTo([]byte("hdr"))
+		if err != nil || string(prefixed) != "hdr"+string(data) {
+			t.Errorf("output %d: AppendTo behind a prefix diverges from Encode", i)
 		}
+	}
+	if _, err := (Output{Kind: dataset.Kind(99)}).Encode(); err == nil {
+		t.Error("unknown output kind encoded without error")
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"mlperf/internal/metrics"
 )
 
-// The binary codec's bytes are a wire contract shared with every deployed
-// peer: these goldens pin them, so an encoding change that would strand old
-// decoders fails here first.
+// The codec's bytes are what the accuracy log stores and the benchmark's
+// byte-exact gate compares: these goldens pin them.
 func TestGoldenBinaryBytes(t *testing.T) {
 	golden := []struct {
 		name string
@@ -43,99 +42,6 @@ func TestGoldenBinaryBytes(t *testing.T) {
 	}
 }
 
-// The JSON codec is the compatibility surface for pre-codec peers; its bytes
-// are pinned too.
-func TestGoldenJSONBytes(t *testing.T) {
-	if data, _ := EncodeClassJSON(7); string(data) != `{"class":7}` {
-		t.Errorf("EncodeClassJSON = %s", data)
-	}
-	if data, _ := EncodeTokensJSON([]int{4, 8}); string(data) != `{"tokens":[4,8]}` {
-		t.Errorf("EncodeTokensJSON = %s", data)
-	}
-	if data, _ := EncodeBoxesJSON(nil); string(data) != `{"boxes":null}` {
-		t.Errorf("EncodeBoxesJSON = %s", data)
-	}
-}
-
-// Cross-version matrix: the same prediction encoded by either codec must
-// decode to the same value through the sniffing decoders — a new client
-// against an old JSON server and an old client's payloads replayed through a
-// new decoder both land on identical results.
-func TestCrossCodecMatrix(t *testing.T) {
-	boxes := []metrics.Box{
-		{X1: 0.1, Y1: 0.2, X2: 0.5, Y2: 0.6, Class: 3, Score: 0.9},
-		{X1: -1, Y1: 0, X2: 4096, Y2: 2.5, Class: -7, Score: 0.125},
-	}
-	tokens := []int{0, -3, 1 << 20, 42}
-
-	binClass, _ := EncodeClass(-12)
-	jsonClass, _ := EncodeClassJSON(-12)
-	for _, data := range [][]byte{binClass, jsonClass} {
-		got, err := DecodeClass(data)
-		if err != nil || got != -12 {
-			t.Errorf("DecodeClass(%x) = %d, %v", data, got, err)
-		}
-	}
-
-	binBoxes, _ := EncodeBoxes(boxes)
-	jsonBoxes, _ := EncodeBoxesJSON(boxes)
-	for _, data := range [][]byte{binBoxes, jsonBoxes} {
-		got, err := DecodeBoxes(data)
-		if err != nil || len(got) != len(boxes) {
-			t.Fatalf("DecodeBoxes: %v (%d boxes)", err, len(got))
-		}
-		for i := range boxes {
-			if got[i] != boxes[i] {
-				t.Errorf("box %d: %+v != %+v", i, got[i], boxes[i])
-			}
-		}
-	}
-
-	binTokens, _ := EncodeTokens(tokens)
-	jsonTokens, _ := EncodeTokensJSON(tokens)
-	for _, data := range [][]byte{binTokens, jsonTokens} {
-		got, err := DecodeTokens(data)
-		if err != nil || len(got) != len(tokens) {
-			t.Fatalf("DecodeTokens: %v", err)
-		}
-		for i := range tokens {
-			if got[i] != tokens[i] {
-				t.Errorf("token %d: %d != %d", i, got[i], tokens[i])
-			}
-		}
-	}
-}
-
-func TestDetectCodec(t *testing.T) {
-	if c, err := DetectCodec([]byte{BinaryVersion, kindClass, 0}); err != nil || c != CodecBinary {
-		t.Errorf("binary sniff = %v, %v", c, err)
-	}
-	if c, err := DetectCodec([]byte(`{"class":1}`)); err != nil || c != CodecJSON {
-		t.Errorf("json sniff = %v, %v", c, err)
-	}
-	if _, err := DetectCodec(nil); err == nil {
-		t.Error("empty payload should not sniff")
-	}
-	if _, err := DetectCodec([]byte{0x7f}); err == nil {
-		t.Error("unknown version byte should not sniff")
-	}
-}
-
-func TestParseCodec(t *testing.T) {
-	for arg, want := range map[string]Codec{"": CodecBinary, "binary": CodecBinary, "json": CodecJSON} {
-		got, err := ParseCodec(arg)
-		if err != nil || got != want {
-			t.Errorf("ParseCodec(%q) = %v, %v", arg, got, err)
-		}
-	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Error("unknown codec should error")
-	}
-	if CodecBinary.String() != "binary" || CodecJSON.String() != "json" || Codec(9).String() == "" {
-		t.Error("codec strings wrong")
-	}
-}
-
 // Lying length prefixes must be rejected before any count-sized allocation:
 // these payloads declare astronomically more elements than their bytes can
 // hold.
@@ -164,6 +70,15 @@ func TestDecodeRejectsLyingCounts(t *testing.T) {
 	if _, err := DecodeClass([]byte{BinaryVersion, kindTokens, 0x00}); err == nil {
 		t.Error("kind mismatch should be rejected")
 	}
+	if _, err := DecodeClass([]byte{0x7f, kindClass, 0x00}); err == nil {
+		t.Error("unknown version byte should be rejected")
+	}
+	if _, err := DecodeClass([]byte(`{"class":7}`)); err == nil {
+		t.Error("a JSON payload should be rejected")
+	}
+	if _, err := DecodeClass(nil); err == nil {
+		t.Error("empty payload should be rejected")
+	}
 }
 
 func TestDecodeTokensInto(t *testing.T) {
@@ -185,10 +100,9 @@ func TestDecodeTokensInto(t *testing.T) {
 	if &got[0] != &scratch[:1][0] {
 		t.Error("DecodeTokensInto should reuse the caller's backing array")
 	}
-	// JSON fallback still decodes (allocating).
-	jdata, _ := EncodeTokensJSON(tokens)
-	if got, err := DecodeTokensInto(scratch, jdata); err != nil || len(got) != len(tokens) {
-		t.Errorf("JSON fallback: %v", err)
+	// An empty hypothesis decodes as nil into a nil destination.
+	if got, err := DecodeTokensInto(nil, AppendTokens(nil, nil)); err != nil || got != nil {
+		t.Errorf("empty hypothesis = %v, %v; want nil", got, err)
 	}
 }
 

@@ -4,114 +4,32 @@
 // in one place lets any SUT implementation and the accuracy checker agree on
 // the format.
 //
-// Two codecs coexist:
-//
-//   - The binary codec (the default since the swarm scenario landed) frames
-//     every payload as [version 0x01][kind][varint-encoded fields]: class
-//     predictions are one zigzag varint, token sequences are a count plus
-//     one zigzag varint per token, and detection boxes are a count plus
-//     fixed 8-byte IEEE-754 coordinates/score with a zigzag-varint class.
-//     Encoding appends into a caller-supplied buffer (Append*), so the
-//     serving hot path can run it through pooled buffers without
-//     allocating.
-//   - The legacy JSON codec ({"class":N}, {"boxes":[...]}, {"tokens":[...]})
-//     is still emitted on demand (Encode*JSON) for old peers.
-//
-// The codecs self-describe: a JSON payload always begins with '{' (0x7b)
-// and a binary payload always begins with BinaryVersion (0x01), so the
-// Decode* functions sniff the first byte and accept either. That leading
-// codec-version byte is what rides the wire protocol's V2/V3 framing — the
-// payload travels as the opaque data field of predict responses, so a new
-// decoder handles an old JSON peer and an old-peer deployment can keep a
-// server on the JSON codec without any frame-format change.
+// Every payload is [version 0x01][kind][varint-encoded fields]: a class
+// prediction is one zigzag varint, a token sequence is a count plus one
+// zigzag varint per token, and detection boxes are a count plus, per box,
+// fixed 8-byte IEEE-754 coordinates and score with a zigzag-varint class.
+// Encoding appends into a caller-supplied buffer (Append*), so the serving
+// hot path runs it through pooled buffers without allocating; the payload
+// travels as the opaque data field of a predict response frame.
 package payload
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"mlperf/internal/metrics"
 )
 
-// Codec selects which of the two self-describing payload encodings to emit.
-// The zero value is the binary codec, so zero-valued configs get the
-// allocation-free default and JSON is an explicit opt-in for old peers.
-type Codec uint8
-
-const (
-	// CodecBinary is the varint-framed binary codec (default).
-	CodecBinary Codec = iota
-	// CodecJSON is the legacy JSON codec, kept for old peers.
-	CodecJSON
-)
-
-// String names the codec for logs and flags.
-func (c Codec) String() string {
-	switch c {
-	case CodecBinary:
-		return "binary"
-	case CodecJSON:
-		return "json"
-	default:
-		return fmt.Sprintf("Codec(%d)", uint8(c))
-	}
-}
-
-// ParseCodec parses a -codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "json":
-		return CodecJSON, nil
-	default:
-		return 0, fmt.Errorf("payload: unknown codec %q (want binary or json)", s)
-	}
-}
-
-// BinaryVersion is the leading version byte of every binary-codec payload.
-// It is deliberately distinct from '{' (0x7b), the first byte of every JSON
-// payload, so decoders can sniff the codec from the first byte.
+// BinaryVersion is the leading version byte of every payload.
 const BinaryVersion = 0x01
 
-// Binary payload kind tags (the byte after the version byte).
+// Payload kind tags (the byte after the version byte).
 const (
 	kindClass  = 0x01
 	kindBoxes  = 0x02
 	kindTokens = 0x03
 )
-
-// DetectCodec reports which codec encoded data, sniffing the first byte.
-func DetectCodec(data []byte) (Codec, error) {
-	if len(data) == 0 {
-		return 0, fmt.Errorf("payload: empty payload")
-	}
-	switch data[0] {
-	case BinaryVersion:
-		return CodecBinary, nil
-	case '{':
-		return CodecJSON, nil
-	default:
-		return 0, fmt.Errorf("payload: unknown codec version byte 0x%02x", data[0])
-	}
-}
-
-// classPayload carries an image-classification prediction (JSON codec).
-type classPayload struct {
-	Class int `json:"class"`
-}
-
-// detectionPayload carries object-detection predictions (JSON codec).
-type detectionPayload struct {
-	Boxes []metrics.Box `json:"boxes"`
-}
-
-// translationPayload carries a machine-translation hypothesis (JSON codec).
-type translationPayload struct {
-	Tokens []int `json:"tokens"`
-}
 
 // zigzag folds signed integers into unsigned ones so small negative values
 // stay short under varint encoding (protobuf's sint64 mapping).
@@ -130,14 +48,14 @@ func readZigzag(data []byte) (int, int, error) {
 	return int(unzigzag(u)), n, nil
 }
 
-// AppendClass appends a binary-codec class prediction to dst and returns the
+// AppendClass appends a class prediction to dst and returns the
 // extended slice. With sufficient capacity in dst it does not allocate.
 func AppendClass(dst []byte, class int) []byte {
 	dst = append(dst, BinaryVersion, kindClass)
 	return appendZigzag(dst, class)
 }
 
-// AppendBoxes appends binary-codec detection boxes to dst.
+// AppendBoxes appends detection boxes to dst.
 func AppendBoxes(dst []byte, boxes []metrics.Box) []byte {
 	dst = append(dst, BinaryVersion, kindBoxes)
 	dst = binary.AppendUvarint(dst, uint64(len(boxes)))
@@ -152,7 +70,7 @@ func AppendBoxes(dst []byte, boxes []metrics.Box) []byte {
 	return dst
 }
 
-// AppendTokens appends a binary-codec translation hypothesis to dst.
+// AppendTokens appends a translation hypothesis to dst.
 func AppendTokens(dst []byte, tokens []int) []byte {
 	dst = append(dst, BinaryVersion, kindTokens)
 	dst = binary.AppendUvarint(dst, uint64(len(tokens)))
@@ -162,63 +80,23 @@ func AppendTokens(dst []byte, tokens []int) []byte {
 	return dst
 }
 
-// EncodeClass serializes a class prediction with the default (binary) codec.
-func EncodeClass(class int) ([]byte, error) {
-	return AppendClass(nil, class), nil
-}
-
-// EncodeBoxes serializes detection boxes with the default (binary) codec.
-func EncodeBoxes(boxes []metrics.Box) ([]byte, error) {
-	return AppendBoxes(nil, boxes), nil
-}
-
-// EncodeTokens serializes a translation hypothesis with the default (binary)
-// codec.
-func EncodeTokens(tokens []int) ([]byte, error) {
-	return AppendTokens(nil, tokens), nil
-}
-
-// EncodeClassJSON serializes a class prediction with the legacy JSON codec.
-func EncodeClassJSON(class int) ([]byte, error) {
-	return json.Marshal(classPayload{Class: class})
-}
-
-// EncodeBoxesJSON serializes detection boxes with the legacy JSON codec.
-func EncodeBoxesJSON(boxes []metrics.Box) ([]byte, error) {
-	return json.Marshal(detectionPayload{Boxes: boxes})
-}
-
-// EncodeTokensJSON serializes a translation hypothesis with the legacy JSON
-// codec.
-func EncodeTokensJSON(tokens []int) ([]byte, error) {
-	return json.Marshal(translationPayload{Tokens: tokens})
-}
-
-// binaryBody validates the version/kind header and returns the field bytes.
-func binaryBody(data []byte, kind byte, what string) ([]byte, error) {
+// fields validates the version/kind header and returns the field bytes.
+func fields(data []byte, kind byte, what string) ([]byte, error) {
 	if len(data) < 2 {
-		return nil, fmt.Errorf("payload: truncated binary %s payload (%d bytes)", what, len(data))
+		return nil, fmt.Errorf("payload: truncated payload (%d bytes)", len(data))
+	}
+	if data[0] != BinaryVersion {
+		return nil, fmt.Errorf("payload: unknown version byte 0x%02x", data[0])
 	}
 	if data[1] != kind {
-		return nil, fmt.Errorf("payload: binary payload kind 0x%02x is not a %s prediction", data[1], what)
+		return nil, fmt.Errorf("payload: payload kind 0x%02x is not a %s prediction", data[1], what)
 	}
 	return data[2:], nil
 }
 
-// DecodeClass parses a class prediction, accepting either codec.
+// DecodeClass parses a class prediction.
 func DecodeClass(data []byte) (int, error) {
-	codec, err := DetectCodec(data)
-	if err != nil {
-		return 0, err
-	}
-	if codec == CodecJSON {
-		var p classPayload
-		if err := json.Unmarshal(data, &p); err != nil {
-			return 0, fmt.Errorf("payload: decoding class prediction: %w", err)
-		}
-		return p.Class, nil
-	}
-	body, err := binaryBody(data, kindClass, "class")
+	body, err := fields(data, kindClass, "class")
 	if err != nil {
 		return 0, err
 	}
@@ -232,25 +110,14 @@ func DecodeClass(data []byte) (int, error) {
 	return class, nil
 }
 
-// binaryBoxBytes is the fixed per-box tail (4 coords + score); the class
-// varint adds at least one more byte. Bounding the declared count by the
-// remaining bytes keeps a lying count prefix from over-allocating.
-const binaryBoxBytes = 5*8 + 1
+// boxBytes is the fixed per-box tail (4 coords + score); the class varint
+// adds at least one more byte. Bounding the declared count by the remaining
+// bytes keeps a lying count prefix from over-allocating.
+const boxBytes = 5*8 + 1
 
-// DecodeBoxes parses detection boxes, accepting either codec.
+// DecodeBoxes parses detection boxes; an empty list decodes as nil.
 func DecodeBoxes(data []byte) ([]metrics.Box, error) {
-	codec, err := DetectCodec(data)
-	if err != nil {
-		return nil, err
-	}
-	if codec == CodecJSON {
-		var p detectionPayload
-		if err := json.Unmarshal(data, &p); err != nil {
-			return nil, fmt.Errorf("payload: decoding detection boxes: %w", err)
-		}
-		return p.Boxes, nil
-	}
-	body, err := binaryBody(data, kindBoxes, "detection")
+	body, err := fields(data, kindBoxes, "detection")
 	if err != nil {
 		return nil, err
 	}
@@ -259,10 +126,13 @@ func DecodeBoxes(data []byte) ([]metrics.Box, error) {
 		return nil, fmt.Errorf("payload: decoding detection box count: truncated varint")
 	}
 	body = body[n:]
-	if count > uint64(len(body)/binaryBoxBytes) {
+	if count > uint64(len(body)/boxBytes) {
 		return nil, fmt.Errorf("payload: detection box count %d exceeds the %d payload bytes", count, len(body))
 	}
-	boxes := make([]metrics.Box, count)
+	var boxes []metrics.Box
+	if count > 0 {
+		boxes = make([]metrics.Box, count)
+	}
 	for i := range boxes {
 		if len(body) < 4*8 {
 			return nil, fmt.Errorf("payload: truncated detection box %d", i)
@@ -287,26 +157,20 @@ func DecodeBoxes(data []byte) ([]metrics.Box, error) {
 	if len(body) != 0 {
 		return nil, fmt.Errorf("payload: %d trailing bytes after detection boxes", len(body))
 	}
-	if count == 0 {
-		return nil, nil
-	}
 	return boxes, nil
 }
 
-// DecodeTokens parses a translation hypothesis, accepting either codec.
+// DecodeTokens parses a translation hypothesis into a fresh slice; an empty
+// hypothesis decodes as nil.
 func DecodeTokens(data []byte) ([]int, error) {
-	codec, err := DetectCodec(data)
-	if err != nil {
-		return nil, err
-	}
-	if codec == CodecJSON {
-		var p translationPayload
-		if err := json.Unmarshal(data, &p); err != nil {
-			return nil, fmt.Errorf("payload: decoding translation tokens: %w", err)
-		}
-		return p.Tokens, nil
-	}
-	body, err := binaryBody(data, kindTokens, "translation")
+	return DecodeTokensInto(nil, data)
+}
+
+// DecodeTokensInto decodes a translation hypothesis into dst, reusing its
+// backing array when capacity allows — the allocation-free receive path for
+// clients that score in place.
+func DecodeTokensInto(dst []int, data []byte) ([]int, error) {
+	body, err := fields(data, kindTokens, "translation")
 	if err != nil {
 		return nil, err
 	}
@@ -317,48 +181,6 @@ func DecodeTokens(data []byte) ([]int, error) {
 	body = body[n:]
 	// Every token costs at least one varint byte, so a count beyond the
 	// remaining length is a lie — reject it before allocating.
-	if count > uint64(len(body)) {
-		return nil, fmt.Errorf("payload: token count %d exceeds the %d payload bytes", count, len(body))
-	}
-	tokens := make([]int, count)
-	for i := range tokens {
-		t, n, err := readZigzag(body)
-		if err != nil {
-			return nil, fmt.Errorf("payload: decoding token %d: %w", i, err)
-		}
-		tokens[i] = t
-		body = body[n:]
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("payload: %d trailing bytes after tokens", len(body))
-	}
-	if count == 0 {
-		return nil, nil
-	}
-	return tokens, nil
-}
-
-// DecodeTokensInto decodes a binary-codec translation hypothesis into dst,
-// reusing its backing array when capacity allows — the allocation-free
-// receive path for swarm clients that score in place. JSON payloads fall
-// back to DecodeTokens (allocating).
-func DecodeTokensInto(dst []int, data []byte) ([]int, error) {
-	codec, err := DetectCodec(data)
-	if err != nil {
-		return nil, err
-	}
-	if codec == CodecJSON {
-		return DecodeTokens(data)
-	}
-	body, err := binaryBody(data, kindTokens, "translation")
-	if err != nil {
-		return nil, err
-	}
-	count, n := binary.Uvarint(body)
-	if n <= 0 {
-		return nil, fmt.Errorf("payload: decoding token count: truncated varint")
-	}
-	body = body[n:]
 	if count > uint64(len(body)) {
 		return nil, fmt.Errorf("payload: token count %d exceeds the %d payload bytes", count, len(body))
 	}

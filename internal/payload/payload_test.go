@@ -7,18 +7,16 @@ import (
 )
 
 func TestClassRoundTrip(t *testing.T) {
-	data, err := EncodeClass(7)
-	if err != nil {
-		t.Fatal(err)
+	for _, class := range []int{7, 0, -12} {
+		got, err := DecodeClass(AppendClass(nil, class))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != class {
+			t.Errorf("round trip = %d, want %d", got, class)
+		}
 	}
-	got, err := DecodeClass(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 7 {
-		t.Errorf("round trip = %d, want 7", got)
-	}
-	if _, err := DecodeClass([]byte("not json")); err == nil {
+	if _, err := DecodeClass([]byte("garbage")); err == nil {
 		t.Error("garbage input: expected error")
 	}
 }
@@ -26,42 +24,30 @@ func TestClassRoundTrip(t *testing.T) {
 func TestBoxesRoundTrip(t *testing.T) {
 	boxes := []metrics.Box{
 		{X1: 0.1, Y1: 0.2, X2: 0.5, Y2: 0.6, Class: 3, Score: 0.9},
-		{X1: 0.3, Y1: 0.3, X2: 0.4, Y2: 0.4, Class: 1, Score: 0.5},
+		{X1: -1, Y1: 0, X2: 4096, Y2: 2.5, Class: -7, Score: 0.125},
 	}
-	data, err := EncodeBoxes(boxes)
+	got, err := DecodeBoxes(AppendBoxes(nil, boxes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBoxes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Class != 3 || got[1].Score != 0.5 {
+	if len(got) != 2 || got[0] != boxes[0] || got[1] != boxes[1] {
 		t.Errorf("round trip = %+v", got)
 	}
 	if _, err := DecodeBoxes([]byte("{")); err == nil {
 		t.Error("garbage input: expected error")
 	}
-	empty, err := EncodeBoxes(nil)
+	gotEmpty, err := DecodeBoxes(AppendBoxes(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEmpty, err := DecodeBoxes(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotEmpty) != 0 {
+	if gotEmpty != nil {
 		t.Errorf("empty boxes round trip = %+v", gotEmpty)
 	}
 }
 
 func TestTokensRoundTrip(t *testing.T) {
-	tokens := []int{4, 8, 15, 16, 23, 42}
-	data, err := EncodeTokens(tokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeTokens(data)
+	tokens := []int{4, 8, 15, 16, 23, 42, 0, -3, 1 << 20}
+	got, err := DecodeTokens(AppendTokens(nil, tokens))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,5 +61,8 @@ func TestTokensRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeTokens([]byte("[")); err == nil {
 		t.Error("garbage input: expected error")
+	}
+	if empty, err := DecodeTokens(AppendTokens(nil, nil)); err != nil || empty != nil {
+		t.Errorf("empty hypothesis = %v, %v; want nil", empty, err)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"io"
 	"testing"
 	"time"
@@ -95,7 +94,7 @@ func TestWirePathZeroAlloc(t *testing.T) {
 	req := PredictRequest{ID: 1, SampleIndex: 3, Deadline: time.Time{}}
 
 	// Pre-encode one response frame to replay through the client reader.
-	respFrame := appendPredictResponseFrame(nil, 1, StatusOK, payload.AppendClass(nil, 7))
+	respFrame := predictResponseBytes(1, StatusOK, nil, payload.AppendClass(nil, 7))
 	stream := bytes.NewReader(nil)
 	reader := bufio.NewReader(stream)
 
@@ -111,14 +110,11 @@ func TestWirePathZeroAlloc(t *testing.T) {
 	}
 
 	if n := testing.AllocsPerRun(200, func() {
-		// The server's finish() shape: header, id, status and payload encoded
-		// back-to-back into one pooled frame.
+		// The server's finish() shape: the response frame opened and the
+		// payload encoded behind it in one pooled buffer.
 		buf := AcquireBuffer(frameHeaderBytes + 9 + 64)
-		b := beginFrame(buf.B)
-		b = binary.BigEndian.AppendUint64(b, 42)
-		b = append(b, byte(StatusOK))
-		b = payload.AppendClass(b, 7)
-		buf.B = endFrame(b, 0, MsgPredict)
+		b := payload.AppendClass(appendPredictResponseFrame(buf.B, 42, StatusOK, nil), 7)
+		buf.B = endFrame(b, 0)
 		buf.Release()
 	}); n != 0 {
 		t.Errorf("server response framing allocates %v/op", n)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"mlperf/internal/stats"
 	"mlperf/internal/tensor"
 )
 
@@ -76,32 +77,12 @@ func (w *latencyWindow) copyInto(scratch []time.Duration) []time.Duration {
 	return scratch
 }
 
-// percentilesOf returns the p50 and p99 of a sample set, sorting it in
-// place. Unlike the old latencyWindow.percentiles it takes an already-copied
-// slice, so callers can sort outside the lock that guards the ring.
-func percentilesOf(sorted []time.Duration) (p50, p99 time.Duration) {
-	if len(sorted) == 0 {
-		return 0, 0
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := func(p float64) int {
-		i := int(p * float64(len(sorted)-1))
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return i
-	}
-	return sorted[idx(0.50)], sorted[idx(0.99)]
-}
-
-// percentiles returns the p50 and p99 of the retained window, allocating a
-// fresh scratch copy. The snapshot path uses copyInto + percentilesOf with a
-// reused scratch buffer instead; this remains for direct/test use.
-func (w *latencyWindow) percentiles() (p50, p99 time.Duration) {
-	return percentilesOf(w.copyInto(nil))
+// percentilesOf returns the nearest-rank p50 and p99 of a sample set, sorting
+// it in place. It takes an already-copied slice, so callers sort outside the
+// lock that guards the ring.
+func percentilesOf(samples []time.Duration) (p50, p99 time.Duration) {
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return stats.NearestRank(samples, 0.50), stats.NearestRank(samples, 0.99)
 }
 
 func newServerMetrics() *serverMetrics {
@@ -269,7 +250,7 @@ type BatchBucket struct {
 
 // Snapshot is a point-in-time view of serving metrics for one hosted model —
 // or, after MergeSnapshots, for a set of models or replicas — returned over
-// the wire for the report (MsgMetrics/MsgMetricsModel) and by Server.Metrics.
+// the wire for the report (MsgMetrics) and by Server.Metrics.
 type Snapshot struct {
 	// Model is the hosted model id the snapshot covers ("" for the default
 	// model and for merged snapshots).

@@ -286,7 +286,7 @@ func TestPrometheusEndpointMatchesWireMetrics(t *testing.T) {
 
 	// Wire-fetched snapshot (the same frames backend.Remote uses).
 	tc.mu.Lock()
-	err := WriteMetricsRequest(tc.c, 42)
+	err := WriteMetricsRequest(tc.c, 42, "")
 	tc.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -31,15 +31,14 @@
 // Observability is part of the contract: each model tracks queue depth, a
 // dispatched-batch-size histogram, queue/service latency percentiles and
 // reject/expire counts, served per model or merged across models as a
-// Snapshot over the wire (MsgMetrics / MsgMetricsModel) for the benchmark
-// report.
+// Snapshot over the wire (MsgMetrics) for the benchmark report.
 //
 // Lifecycle is three-way: Drain gracefully retires the server (stop
 // admitting, answer everything queued, keep answering health probes — with
 // ProbeDraining, so a fault-tolerant client will not re-join it), Close
 // drains then tears down, and Kill simulates a crash (listener and every
 // connection die immediately, queued work is abandoned) for fault-injection
-// tests. The V2 MsgProbe frame is the health-check handshake clients run on a
+// tests. The MsgProbe frame is the health-check handshake clients run on a
 // fresh connection before readmitting a recovered server to routing.
 //
 // The LoadGen-facing client lives in backend.Remote, which implements
@@ -49,7 +48,6 @@ package serve
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -61,17 +59,9 @@ import (
 
 	"mlperf/internal/dataset"
 	"mlperf/internal/model"
-	"mlperf/internal/payload"
 	"mlperf/internal/tensor"
 	"mlperf/internal/trace"
 )
-
-// SampleStore provides samples by index. dataset.QSL satisfies it; it is
-// declared here (structurally identical to backend.SampleStore) so the serve
-// and backend packages stay dependency-free of each other in this direction.
-type SampleStore interface {
-	Get(index int) (*dataset.Sample, error)
-}
 
 // OverloadPolicy selects what admission control does when the queue is full.
 type OverloadPolicy int
@@ -120,13 +110,13 @@ func ParsePolicy(s string) (OverloadPolicy, error) {
 // ModelConfig configures one named engine hosted by a Server. Zero-valued
 // knobs inherit the Server Config's corresponding field.
 type ModelConfig struct {
-	// Name is the model id V2 predict frames address; required, unique within
+	// Name is the model id request frames address; required, unique within
 	// the server, at most 255 bytes.
 	Name string
 	// Engine runs this model's inference; required.
 	Engine model.Engine
 	// Store resolves this model's sample indexes (defaults to Config.Store).
-	Store SampleStore
+	Store dataset.Store
 	// Workers, QueueDepth, Policy, MaxBatch and BatchWait override the
 	// server-wide defaults for this model (see Config for semantics).
 	// PolicyDefault inherits Config.Policy.
@@ -141,18 +131,19 @@ type ModelConfig struct {
 type Config struct {
 	// Engine runs the inference for the server's default (unnamed) model.
 	// Either Engine or at least one Models entry is required; when both are
-	// set, Engine is hosted alongside the named models and answers V1 frames.
+	// set, Engine is hosted alongside the named models and answers frames
+	// that carry no model id.
 	Engine model.Engine
 	// Store resolves the sample indexes arriving over the wire; required for
 	// the default model and the fallback for Models entries without one. Like
 	// the reference LoadGen's QSL, the data set is resident on the serving
 	// side before the timed run.
-	Store SampleStore
+	Store dataset.Store
 	// Models lists additional named engines hosted behind this listener, each
-	// with its own admission queue, batcher and worker pool. V2 predict
-	// frames route by model id. When exactly one model is hosted in total,
-	// V1 frames route to it; with several and no default Engine, V1 predict
-	// frames answer StatusError.
+	// with its own admission queue, batcher and worker pool. Predict frames
+	// route by model id. When exactly one model is hosted in total, frames
+	// without a model id route to it; with several and no default Engine,
+	// such predict frames answer StatusError.
 	Models []ModelConfig
 	// Addr is the listen address; it defaults to "127.0.0.1:0" (loopback,
 	// kernel-assigned port — read the bound address back with Addr).
@@ -196,12 +187,6 @@ type Config struct {
 	// on the metrics listener, so a live server's CPU, heap, goroutine and
 	// block profiles are reachable without a rebuild. Requires MetricsAddr.
 	EnablePprof bool
-	// Codec selects the payload encoding for predict responses. The zero
-	// value is payload.CodecBinary (the allocation-free varint codec);
-	// payload.CodecJSON keeps emitting the legacy JSON payloads for old
-	// peers. Decoders on both ends sniff the payload's leading codec-version
-	// byte, so mixed-codec fleets interoperate at the decoded level.
-	Codec payload.Codec
 }
 
 // normalize validates the config and expands it into one ModelConfig per
@@ -327,26 +312,9 @@ type serverConn struct {
 	w   *bufio.Writer
 }
 
-// writeFrame writes and flushes one frame; concurrent workers serialize here.
-// A failed or timed-out write poisons the connection deliberately.
-func (sc *serverConn) writeFrame(msgType byte, body []byte) error {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	sc.c.SetWriteDeadline(time.Now().Add(respWriteTimeout))
-	err := writeFrame(sc.w, msgType, body)
-	if err == nil {
-		err = sc.w.Flush()
-	}
-	if err != nil {
-		sc.c.Close()
-		return err
-	}
-	return nil
-}
-
-// writeRawFrame writes and flushes one pre-assembled frame (header
-// included) as a single contiguous write — the pooled-buffer response path.
-// Failure semantics match writeFrame.
+// writeRawFrame writes and flushes one pre-assembled frame (header included)
+// as a single contiguous write; concurrent workers serialize here. A failed
+// or timed-out write poisons the connection deliberately.
 func (sc *serverConn) writeRawFrame(frame []byte) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
@@ -367,9 +335,6 @@ func (sc *serverConn) writeRawFrame(frame []byte) error {
 // one tenant's overload cannot reject another tenant's traffic.
 type engineHost struct {
 	cfg ModelConfig
-	// codec is the payload encoding for this host's predict responses
-	// (Config.Codec; the zero value is the binary codec).
-	codec payload.Codec
 
 	mu          sync.Mutex
 	queue       []*request
@@ -404,7 +369,8 @@ type Server struct {
 	ln net.Listener
 
 	// hosts routes model ids to their serving machinery; defaultHost answers
-	// V1 frames (nil when several models are hosted and none is the default).
+	// predict frames without a model id (nil when several models are hosted
+	// and none is the default).
 	hosts       map[string]*engineHost
 	hostList    []*engineHost
 	defaultHost *engineHost
@@ -464,7 +430,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		h := &engineHost{
 			cfg:         mc,
-			codec:       cfg.Codec,
 			workers:     mc.Workers,
 			liveWorkers: mc.Workers,
 			queueDepth:  mc.QueueDepth,
@@ -483,7 +448,8 @@ func New(cfg Config) (*Server, error) {
 			go h.worker()
 		}
 	}
-	// V1 frames route to the default engine, or to the single hosted model.
+	// Frames without a model id route to the default engine, or to the single
+	// hosted model.
 	if h, ok := s.hosts[""]; ok {
 		s.defaultHost = h
 	} else if len(s.hostList) == 1 {
@@ -668,8 +634,8 @@ func (s *Server) accept() {
 	}
 }
 
-// hostFor resolves a frame's model id to its engineHost; ok is false for an
-// unknown id (and for V1 predict frames on an ambiguous multi-model server).
+// hostFor resolves a predict frame's model id to its engineHost; ok is false
+// for an unknown id (and for an absent id on an ambiguous multi-model server).
 func (s *Server) hostFor(model string) (*engineHost, bool) {
 	if model == "" {
 		return s.defaultHost, s.defaultHost != nil
@@ -679,8 +645,7 @@ func (s *Server) hostFor(model string) (*engineHost, bool) {
 }
 
 // controlTargets resolves a control frame's model id: a named model controls
-// itself, the empty id controls every hosted model (matching the V1 frames'
-// whole-server semantics).
+// itself, an absent id controls every hosted model.
 func (s *Server) controlTargets(model string) []*engineHost {
 	if model == "" {
 		return s.hostList
@@ -710,14 +675,14 @@ func (s *Server) serveConn(c net.Conn) {
 
 	r := bufio.NewReader(c)
 	for {
-		msgType, bodyBuf, err := readFrameBuf(r)
+		msgType, flags, bodyBuf, err := readFrameBuf(r)
 		if err != nil {
 			return // EOF, closed, or oversized frame
 		}
 		// handleFrame never retains body bytes (ids and indexes are parsed
 		// out, model ids are copied into strings), so the pooled buffer goes
 		// straight back — the read side of the zero-allocation steady state.
-		ok := s.handleFrame(sc, msgType, bodyBuf.B)
+		ok := s.handleFrame(sc, msgType, flags, bodyBuf.B)
 		bodyBuf.Release()
 		if !ok {
 			return
@@ -725,52 +690,21 @@ func (s *Server) serveConn(c net.Conn) {
 	}
 }
 
-// handleFrame dispatches one decoded frame; a false return drops the
-// connection (malformed or unknown frame).
-func (s *Server) handleFrame(sc *serverConn, msgType byte, body []byte) bool {
-	modelID := ""
-	if msgType >= MsgPredictModel && msgType <= MsgMetricsModel {
-		// V2 frames carry a model id; metrics frames put theirs after the
-		// request id so decodeIDPrefix applies to both versions.
-		rest := body
-		if msgType == MsgMetricsModel {
-			if len(body) < 8 {
-				return false
-			}
-			rest = body[8:]
-		}
-		var tail []byte
-		var err error
-		modelID, tail, err = splitModelID(rest)
-		if err != nil {
-			return false
-		}
-		if msgType == MsgMetricsModel {
-			body = body[:8]
-		} else {
-			body = tail
-		}
+// handleFrame decodes and acts on one request frame; a false return drops
+// the connection (malformed or unknown frame).
+func (s *Server) handleFrame(sc *serverConn, msgType, flags byte, body []byte) bool {
+	req, err := decodeRequest(msgType, flags, body)
+	if err != nil {
+		return false
 	}
-	switch msgType {
-	case MsgPredict, MsgPredictModel, MsgPredictTraced:
-		var req PredictRequest
-		var err error
-		if msgType == MsgPredictTraced {
-			// V3 carries its own model id ahead of the fixed body.
-			req, err = decodePredictTracedRequest(body)
-			modelID = req.Model
-		} else {
-			req, err = decodePredictRequest(body)
-		}
-		if err != nil {
-			return false
-		}
-		h, ok := s.hostFor(modelID)
+	switch req.Type {
+	case MsgPredict:
+		h, ok := s.hostFor(req.Model)
 		if !ok {
-			// Unroutable (unknown model id, or a V1 frame against several
+			// Unroutable (unknown model id, or no model id against several
 			// hosted models): answered, never silently dropped.
 			buf := AcquireBuffer(frameHeaderBytes + 9)
-			buf.B = appendPredictResponseFrame(buf.B, req.ID, StatusError, nil)
+			buf.B = endFrame(appendPredictResponseFrame(buf.B, req.ID, StatusError, nil), 0)
 			_ = sc.writeRawFrame(buf.B)
 			buf.Release()
 			return true
@@ -778,59 +712,47 @@ func (s *Server) handleFrame(sc *serverConn, msgType byte, body []byte) bool {
 		r := &request{id: req.ID, index: req.SampleIndex, deadline: req.Deadline, conn: sc}
 		if req.TraceID != 0 && h.mt != nil {
 			// Head-sampled and this server traces: record server spans. A
-			// server without a tracer leaves tr nil and answers with a
-			// plain frame — the graceful-degradation path.
+			// server without a tracer leaves tr nil and answers with the
+			// trace flag clear.
 			r.tr = &reqTrace{id: req.TraceID, arrived: time.Now()}
 		}
 		h.admit(r)
-	case MsgFlush, MsgFlushModel:
-		for _, h := range s.controlTargets(modelID) {
+	case MsgFlush:
+		for _, h := range s.controlTargets(req.Model) {
 			h.flushSeries()
 		}
-	case MsgReopen, MsgReopenModel:
-		for _, h := range s.controlTargets(modelID) {
+	case MsgReopen:
+		for _, h := range s.controlTargets(req.Model) {
 			h.reopen()
 		}
-	case MsgMetrics, MsgMetricsModel:
-		id, _, err := decodeIDPrefix(body)
-		if err != nil {
-			return false
-		}
+	case MsgMetrics:
 		var snap Snapshot
-		if msgType == MsgMetricsModel {
-			if h, ok := s.hosts[modelID]; ok {
-				snap = h.snapshot()
-			} else {
-				// Unknown model: answered with an in-band error, like
-				// unroutable predicts — never by dropping the connection.
-				snap = Snapshot{Model: modelID, Error: fmt.Sprintf("no hosted model %q", modelID)}
-			}
-		} else {
+		if req.Model == "" {
 			snap = s.Metrics()
+		} else if h, ok := s.hosts[req.Model]; ok {
+			snap = h.snapshot()
+		} else {
+			// Unknown model: answered with an in-band error, like
+			// unroutable predicts — never by dropping the connection.
+			snap = Snapshot{Model: req.Model, Error: fmt.Sprintf("no hosted model %q", req.Model)}
 		}
 		data, err := json.Marshal(snap)
 		if err != nil {
 			return false
 		}
 		buf := AcquireBuffer(frameHeaderBytes + 8 + len(data))
-		buf.B = appendIDPrefixFrame(buf.B, MsgMetrics, id, data)
+		buf.B = appendIDFrame(buf.B, MsgMetrics, req.ID, data...)
 		_ = sc.writeRawFrame(buf.B)
 		buf.Release()
 	case MsgProbe:
-		id, _, err := decodeIDPrefix(body)
-		if err != nil {
-			return false
-		}
 		ready := ProbeReady
 		if s.Draining() {
 			ready = ProbeDraining
 		}
 		buf := AcquireBuffer(frameHeaderBytes + 9)
-		buf.B = appendProbeResponseFrame(buf.B, id, ready)
+		buf.B = appendIDFrame(buf.B, MsgProbe, req.ID, ready)
 		_ = sc.writeRawFrame(buf.B)
 		buf.Release()
-	default:
-		return false // unknown message: drop the connection
 	}
 	return true
 }
@@ -865,8 +787,8 @@ type ResizeRequest struct {
 const maxResizeLimit = 1 << 16
 
 // Resize applies new live limits to one hosted model (or, with the empty
-// model id, to every hosted model — matching the V1 control frames'
-// whole-server semantics) and returns the events actually applied. Worker
+// model id, to every hosted model — the reach of a control frame that
+// carries none) and returns the events actually applied. Worker
 // growth spawns immediately; worker shrink retires surplus workers at their
 // next batch boundary (a batch in flight always completes on the worker that
 // started it); queue shrink only lowers the admission bound — requests
@@ -1203,24 +1125,21 @@ func (h *engineHost) predictOne(r *request, sample *dataset.Sample, started time
 // them); service time therefore excludes the buffered loopback write.
 //
 // The untraced path — the steady state — assembles the entire response
-// frame (header, id, status, payload) in one pooled buffer, encoding the
-// output directly into it: no per-frame allocation and a single write. The
-// head-sampled traced path encodes the payload separately so the encode
-// stage can be timed and the span block can precede it in the frame.
+// frame in one pooled buffer, encoding the output directly into it: no
+// per-frame allocation and a single write. The head-sampled traced path
+// encodes the payload separately so the encode stage can be timed and the
+// span block can precede it in the frame.
 func (h *engineHost) finish(r *request, out model.Output, started time.Time) {
 	if r.tr == nil {
 		buf := AcquireBuffer(frameHeaderBytes + 9 + 64)
-		b := beginFrame(buf.B)
-		b = binary.BigEndian.AppendUint64(b, r.id)
-		b = append(b, byte(StatusOK))
-		b, err := out.AppendTo(b, h.codec)
+		b, err := out.AppendTo(appendPredictResponseFrame(buf.B, r.id, StatusOK, nil))
 		if err != nil {
 			buf.Release()
 			h.metrics.addErrored()
 			h.respond(r, StatusError, nil)
 			return
 		}
-		buf.B = endFrame(b, 0, MsgPredict)
+		buf.B = endFrame(b, 0)
 		queued := started.Sub(r.enqueued)
 		service := time.Since(started)
 		h.metrics.observeService(queued, service)
@@ -1246,7 +1165,7 @@ func (h *engineHost) finish(r *request, out model.Output, started time.Time) {
 
 	encodeStart := time.Now()
 	data := AcquireBuffer(64)
-	db, err := out.AppendTo(data.B, h.codec)
+	db, err := out.AppendTo(data.B)
 	r.tr.encode = time.Since(encodeStart).Nanoseconds()
 	if err != nil {
 		data.Release()
@@ -1282,27 +1201,23 @@ func nonNegNanos(d time.Duration) int64 {
 
 // respond writes one predict response; a write error means the client has
 // gone away, which does not concern the serving loop. A head-sampled
-// request answers with the V3 traced frame (span block included when the
-// success path built one), times the write as its reply stage, and
-// publishes the server-side record.
+// request's answer carries the span block when the success path built one;
+// the write is timed as its reply stage and the server-side record published.
 func (h *engineHost) respond(r *request, status Status, data []byte) {
-	if r.tr == nil {
-		buf := AcquireBuffer(frameHeaderBytes + 9 + len(data))
-		buf.B = appendPredictResponseFrame(buf.B, r.id, status, data)
-		_ = r.conn.writeRawFrame(buf.B)
-		buf.Release()
-		return
-	}
 	tr := r.tr
+	var spans *trace.WireSpans
+	if tr != nil {
+		spans = tr.spans
+	}
 	replyStart := time.Now()
-	buf := AcquireBuffer(frameHeaderBytes + 9 + 64 + len(data))
-	buf.B = appendPredictTracedResponseFrame(buf.B, r.id, status, tr.spans, data)
+	buf := AcquireBuffer(frameHeaderBytes + spanBlockBytes + 9 + len(data))
+	buf.B = endFrame(append(appendPredictResponseFrame(buf.B, r.id, status, spans), data...), 0)
 	_ = r.conn.writeRawFrame(buf.B)
 	buf.Release()
-	replyNs := time.Since(replyStart).Nanoseconds()
-	if h.mt == nil {
+	if tr == nil {
 		return
 	}
+	replyNs := time.Since(replyStart).Nanoseconds()
 	e2e := time.Since(tr.arrived).Nanoseconds()
 	rec := &trace.Record{
 		TraceID: tr.id, Model: h.cfg.Name, Origin: trace.OriginServer,

@@ -14,6 +14,7 @@ import (
 	"mlperf/internal/model"
 	"mlperf/internal/payload"
 	"mlperf/internal/tensor"
+	"mlperf/internal/trace"
 )
 
 // echoEngine answers every sample with its index as the class, optionally
@@ -77,7 +78,7 @@ func (tc *testClient) control(msgType byte) {
 	tc.t.Helper()
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if err := WriteControl(tc.c, msgType); err != nil {
+	if err := WriteControl(tc.c, msgType, ""); err != nil {
 		tc.t.Fatal(err)
 	}
 }
@@ -117,51 +118,64 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 func TestProtocolRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+	// Requests: every flag combination survives the writer, the pooled frame
+	// reader and the server's decoder; a zero deadline survives as zero.
 	deadline := time.Unix(0, 1234567890)
-	if err := WritePredictRequest(&buf, PredictRequest{ID: 42, SampleIndex: 7, Deadline: deadline}); err != nil {
-		t.Fatal(err)
-	}
-	msgType, body, err := readFrame(bufio.NewReader(&buf))
-	if err != nil || msgType != MsgPredict {
-		t.Fatalf("readFrame: type %d, err %v", msgType, err)
-	}
-	req, err := decodePredictRequest(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.ID != 42 || req.SampleIndex != 7 || !req.Deadline.Equal(deadline) {
-		t.Errorf("request round-trip mismatch: %+v", req)
-	}
-
-	buf.Reset()
-	if err := writeFrame(&buf, MsgPredict, encodePredictResponse(42, StatusOK, []byte("payload"))); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := ReadClientFrame(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := frame.Predict
-	if resp.ID != 42 || resp.Status != StatusOK || string(resp.Data) != "payload" {
-		t.Errorf("response round-trip mismatch: %+v", resp)
+	for _, want := range []PredictRequest{
+		{ID: 42, SampleIndex: 7, Deadline: deadline},
+		{ID: 42, SampleIndex: 7, Deadline: deadline, Model: "resnet"},
+		{ID: 42, SampleIndex: 7, Deadline: deadline, TraceID: 99},
+		{ID: 42, SampleIndex: 7, Deadline: deadline, Model: "resnet", TraceID: 99},
+		{ID: 1, SampleIndex: 2},
+	} {
+		var buf bytes.Buffer
+		if err := WritePredictRequest(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		msgType, flags, body, err := readFrameBuf(bufio.NewReader(&buf))
+		if err != nil {
+			t.Fatalf("readFrameBuf: %v", err)
+		}
+		got, err := decodeRequest(msgType, flags, body.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != MsgPredict || got.ID != want.ID || got.SampleIndex != want.SampleIndex ||
+			!got.Deadline.Equal(want.Deadline) || got.Deadline.IsZero() != want.Deadline.IsZero() ||
+			got.Model != want.Model || got.TraceID != want.TraceID {
+			t.Errorf("request round-trip mismatch: sent %+v, decoded %+v", want, got)
+		}
 	}
 
-	// Zero deadline survives as zero.
-	buf.Reset()
-	if err := WritePredictRequest(&buf, PredictRequest{ID: 1, SampleIndex: 2}); err != nil {
-		t.Fatal(err)
+	// Responses through the client-side entry point: plain, carrying a span
+	// block, and a payload-less rejection (which never carries one).
+	spans := &trace.WireSpans{
+		RecvUnixNano: 1_700_000_000_000_000_000,
+		Admit:        10, Queue: 20, Assembly: 30, Service: 40, Encode: 50,
 	}
-	_, body, _ = readFrame(bufio.NewReader(&buf))
-	req, _ = decodePredictRequest(body)
-	if !req.Deadline.IsZero() {
-		t.Errorf("zero deadline decoded as %v", req.Deadline)
+	for _, want := range []PredictResponse{
+		{ID: 42, Status: StatusOK, Data: []byte("payload")},
+		{ID: 7, Status: StatusOK, Data: []byte("encoded-output"), Spans: spans},
+		{ID: 8, Status: StatusRejected},
+	} {
+		frame, err := ReadClientFrame(bufio.NewReader(bytes.NewReader(
+			predictResponseBytes(want.ID, want.Status, want.Spans, want.Data))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := frame.Predict
+		if frame.Type != MsgPredict || got.ID != want.ID || got.Status != want.Status || !bytes.Equal(got.Data, want.Data) ||
+			(got.Data == nil) != (want.Data == nil) {
+			t.Errorf("response round-trip mismatch: sent %+v, decoded %+v", want, got)
+		}
+		if (got.Spans == nil) != (want.Spans == nil) || (got.Spans != nil && *got.Spans != *want.Spans) {
+			t.Errorf("span block mangled: sent %+v, decoded %+v", want.Spans, got.Spans)
+		}
 	}
 
 	// Oversized frames are refused.
-	buf.Reset()
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff, MsgPredict})
-	if _, _, err := readFrame(bufio.NewReader(&buf)); err == nil {
+	oversized := bufio.NewReader(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, MsgPredict, 0}))
+	if _, _, _, err := readFrameBuf(oversized); err == nil {
 		t.Error("oversized frame: expected error")
 	}
 }
@@ -225,12 +239,13 @@ func TestAdmissionControlRejects(t *testing.T) {
 		MaxBatch: 1, BatchWait: time.Millisecond, Policy: RejectNewest,
 	})
 	tc := dialTest(t, s.Addr())
-	const n = 12
+	const n = 32
 	for i := 0; i < n; i++ {
 		tc.predict(uint64(i+1), i, time.Time{})
 	}
-	// The worker pool (1 worker, 1 queued batch) plus the admission queue (2)
-	// cannot hold 12 requests: rejects must surface while the gate is shut.
+	// The gated worker (1), the batch channel (16 single-request batches) and
+	// the admission queue (2) cannot hold 32 requests however fast the
+	// dispatcher drains: rejects must surface while the gate is shut.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.Metrics().Rejected == 0 {
 		if time.Now().After(deadline) {
@@ -267,7 +282,7 @@ func TestAdmissionControlShedsOldest(t *testing.T) {
 		MaxBatch: 1, BatchWait: time.Millisecond, Policy: ShedOldest,
 	})
 	tc := dialTest(t, s.Addr())
-	const n = 12
+	const n = 32 // more than worker + batch channel + queue can hold, as above
 	for i := 0; i < n; i++ {
 		tc.predict(uint64(i+1), i, time.Time{})
 	}
@@ -426,7 +441,7 @@ func TestMetricsOverTheWire(t *testing.T) {
 	tc.predict(1, 4, time.Time{})
 	tc.read(1)
 	tc.mu.Lock()
-	err := WriteMetricsRequest(tc.c, 99)
+	err := WriteMetricsRequest(tc.c, 99, "")
 	tc.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -560,7 +575,7 @@ func (e *offsetEngine) Predict(samples []*dataset.Sample, _ *tensor.Scratch) ([]
 	return out, nil
 }
 
-// predictModel writes a V2 model-addressed predict request.
+// predictModel writes a model-addressed predict request.
 func (tc *testClient) predictModel(id uint64, index int, modelID string) {
 	tc.t.Helper()
 	tc.mu.Lock()
@@ -571,7 +586,7 @@ func (tc *testClient) predictModel(id uint64, index int, modelID string) {
 }
 
 // TestMultiModelRouting hosts two named engines behind one listener and
-// checks that V2 frames route by model id, each model's metrics stay
+// checks that predict frames route by model id, each model's metrics stay
 // separate, and the merged snapshot reconciles with their sum.
 func TestMultiModelRouting(t *testing.T) {
 	s := newTestServer(t, Config{
@@ -642,8 +657,8 @@ func TestMultiModelRouting(t *testing.T) {
 	}
 }
 
-// TestMultiModelUnroutableAnswersError: V1 predicts against an ambiguous
-// multi-model server and V2 predicts naming an unknown model are answered
+// TestMultiModelUnroutableAnswersError: predicts without a model id against an
+// ambiguous multi-model server and predicts naming an unknown model are answered
 // with StatusError — never silently dropped, never crossing to a wrong model.
 func TestMultiModelUnroutableAnswersError(t *testing.T) {
 	s := newTestServer(t, Config{
@@ -655,12 +670,12 @@ func TestMultiModelUnroutableAnswersError(t *testing.T) {
 		MaxBatch: 2, BatchWait: time.Millisecond,
 	})
 	tc := dialTest(t, s.Addr())
-	tc.predict(1, 3, time.Time{})  // V1 frame, no default model
+	tc.predict(1, 3, time.Time{})  // no model id, no default model
 	tc.predictModel(2, 3, "gamma") // unknown model id
 	tc.predictModel(3, 3, "alpha") // sanity: still routable
 	responses := tc.read(3)
 	if responses[1].Status != StatusError {
-		t.Errorf("V1 predict on ambiguous server: %v, want %v", responses[1].Status, StatusError)
+		t.Errorf("unaddressed predict on ambiguous server: %v, want %v", responses[1].Status, StatusError)
 	}
 	if responses[2].Status != StatusError {
 		t.Errorf("unknown model: %v, want %v", responses[2].Status, StatusError)
@@ -670,8 +685,8 @@ func TestMultiModelUnroutableAnswersError(t *testing.T) {
 	}
 }
 
-// TestSingleNamedModelIsDefault: when exactly one (named) model is hosted, V1
-// frames route to it, keeping PR 4 clients compatible with named deployments.
+// TestSingleNamedModelIsDefault: when exactly one (named) model is hosted,
+// predict frames without a model id route to it.
 func TestSingleNamedModelIsDefault(t *testing.T) {
 	s := newTestServer(t, Config{
 		Store:    indexStore{},
@@ -694,7 +709,7 @@ func TestSingleNamedModelIsDefault(t *testing.T) {
 }
 
 // TestModelScopedControls: a model-addressed flush switches only that model
-// to pass-through; the V1 flush (empty id) flushes every hosted model.
+// to pass-through; a flush without a model id flushes every hosted model.
 func TestModelScopedControls(t *testing.T) {
 	s := newTestServer(t, Config{
 		Store: indexStore{},
@@ -709,7 +724,7 @@ func TestModelScopedControls(t *testing.T) {
 		tc.t.Helper()
 		tc.mu.Lock()
 		defer tc.mu.Unlock()
-		if err := WriteControlModel(tc.c, msgType, modelID); err != nil {
+		if err := WriteControl(tc.c, msgType, modelID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -725,7 +740,7 @@ func TestModelScopedControls(t *testing.T) {
 	if alpha.Flushes != 1 || beta.Flushes != 0 {
 		t.Errorf("flushes alpha/beta = %d/%d, want 1/0", alpha.Flushes, beta.Flushes)
 	}
-	// The V1 flush reaches every model.
+	// The unaddressed flush reaches every model.
 	tc.control(MsgFlush)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -911,7 +926,7 @@ func TestUnknownModelMetricsAnswered(t *testing.T) {
 	})
 	tc := dialTest(t, s.Addr())
 	tc.mu.Lock()
-	err := WriteMetricsRequestModel(tc.c, 7, "nope")
+	err := WriteMetricsRequest(tc.c, 7, "nope")
 	tc.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

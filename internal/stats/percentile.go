@@ -2,14 +2,25 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
 
-// Percentile returns the p-quantile (0 < p <= 1) of the given latency samples
-// using the nearest-rank method, which is what the MLPerf LoadGen reports:
-// the k-th smallest sample with k = ceil(p * n). The input slice is not
-// modified.
+// NearestRank returns the p-quantile of an ascending-sorted sample set by the
+// nearest-rank method, which is what the MLPerf LoadGen reports: the k-th
+// smallest sample with k = ceil(p * n), clamped to [1, n]. An empty set
+// yields 0.
+func NearestRank(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := int(math.Ceil(float64(len(sorted)) * p))
+	return sorted[min(max(rank, 1), len(sorted))-1]
+}
+
+// Percentile returns the nearest-rank p-quantile (0 < p <= 1) of the given
+// latency samples. The input slice is not modified.
 func Percentile(samples []time.Duration, p float64) (time.Duration, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("stats: percentile of empty sample set")
@@ -20,17 +31,7 @@ func Percentile(samples []time.Duration, p float64) (time.Duration, error) {
 	sorted := make([]time.Duration, len(samples))
 	copy(sorted, samples)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(float64(len(sorted)) * p)
-	if float64(rank) < float64(len(sorted))*p {
-		rank++
-	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1], nil
+	return NearestRank(sorted, p), nil
 }
 
 // LatencySummary aggregates a latency distribution into the statistics the
@@ -63,30 +64,17 @@ func Summarize(samples []time.Duration) (LatencySummary, error) {
 	for _, s := range sorted {
 		sum += s
 	}
-	pick := func(p float64) time.Duration {
-		rank := int(float64(len(sorted)) * p)
-		if float64(rank) < float64(len(sorted))*p {
-			rank++
-		}
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > len(sorted) {
-			rank = len(sorted)
-		}
-		return sorted[rank-1]
-	}
 	return LatencySummary{
 		Count:  len(sorted),
 		Min:    sorted[0],
 		Max:    sorted[len(sorted)-1],
 		Mean:   sum / time.Duration(len(sorted)),
-		P50:    pick(0.50),
-		P90:    pick(0.90),
-		P95:    pick(0.95),
-		P97:    pick(0.97),
-		P99:    pick(0.99),
-		P999:   pick(0.999),
+		P50:    NearestRank(sorted, 0.50),
+		P90:    NearestRank(sorted, 0.90),
+		P95:    NearestRank(sorted, 0.95),
+		P97:    NearestRank(sorted, 0.97),
+		P99:    NearestRank(sorted, 0.99),
+		P999:   NearestRank(sorted, 0.999),
 		Sorted: sorted,
 	}, nil
 }

@@ -2,7 +2,7 @@
 // requests across the serving process boundary.
 //
 // A request gets a trace ID stamped by the client router at issue time and
-// carried to the server in a V3 predict frame (see internal/serve); both
+// carried to the server in the predict frame (see internal/serve); both
 // sides record fixed-slot stage durations — the client its issue, connection
 // acquire, write, await and decode phases, the server its admit, queue wait,
 // batch assembly, service, encode and reply phases — into per-model
@@ -37,7 +37,7 @@ import (
 // the request's life in backend.Remote; server-side stages cover its life
 // in serve.Server. A single traced request yields client slots measured by
 // the client and server slots measured by the server and folded into the
-// client's record from the V3 response frame.
+// client's record from the response frame's span block.
 type Stage int
 
 const (
@@ -127,7 +127,7 @@ type Record struct {
 	// tracker's p99 estimate at observation time.
 	Tail bool
 	// HasServer marks a client record whose server slots were folded in
-	// from the V3 response frame.
+	// from the response frame's span block.
 	HasServer bool
 	// ServerStart is the server's receipt wall clock (UnixNano) when
 	// HasServer is set, 0 otherwise. Client and server share a clock on a
@@ -156,7 +156,7 @@ func (r *Record) ClientNanos() int64 {
 }
 
 // WireSpans is the server-measured span block carried back to the client in
-// a V3 response frame. Durations are nanoseconds. The reply stage is absent
+// a predict response frame. Durations are nanoseconds. The reply stage is absent
 // by construction: the server cannot know the response write's duration
 // before writing it, so reply lands only in the server's own ring.
 type WireSpans struct {
