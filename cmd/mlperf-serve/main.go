@@ -1,5 +1,5 @@
 // Command mlperf-serve exposes benchmark tasks' reference models over network
-// sockets: it builds each task's zoo model and synthetic data set exactly as
+// sockets: it builds each task's model and synthetic data set exactly as
 // mlperf-loadgen does (same -samples/-seed ⇒ same weights and samples, so
 // responses are bit-identical to an in-process run), then serves inference
 // requests — with dynamic batching, bounded admission and per-request

@@ -37,72 +37,6 @@ func (r Report) String() string {
 		r.Metric, r.Value, r.Target, r.Reference, r.Samples, status)
 }
 
-// CheckClassification scores an image-classification accuracy log.
-func CheckClassification(log []loadgen.AccuracyEntry, ds *dataset.SyntheticImages) (float64, error) {
-	if len(log) == 0 {
-		return 0, fmt.Errorf("accuracy: empty accuracy log")
-	}
-	var preds, labels []int
-	for _, entry := range log {
-		sample, err := ds.Sample(entry.SampleIndex)
-		if err != nil {
-			return 0, fmt.Errorf("accuracy: sample %d: %w", entry.SampleIndex, err)
-		}
-		class, err := payload.DecodeClass(entry.Data)
-		if err != nil {
-			return 0, fmt.Errorf("accuracy: sample %d: %w", entry.SampleIndex, err)
-		}
-		preds = append(preds, class)
-		labels = append(labels, sample.Label)
-	}
-	return metrics.Top1Accuracy(preds, labels)
-}
-
-// CheckDetection scores an object-detection accuracy log at the given IoU
-// threshold.
-func CheckDetection(log []loadgen.AccuracyEntry, ds *dataset.SyntheticDetection, iouThreshold float64) (float64, error) {
-	if len(log) == 0 {
-		return 0, fmt.Errorf("accuracy: empty accuracy log")
-	}
-	var dets []metrics.Detection
-	var truths []metrics.GroundTruth
-	for _, entry := range log {
-		sample, err := ds.Sample(entry.SampleIndex)
-		if err != nil {
-			return 0, fmt.Errorf("accuracy: sample %d: %w", entry.SampleIndex, err)
-		}
-		boxes, err := payload.DecodeBoxes(entry.Data)
-		if err != nil {
-			return 0, fmt.Errorf("accuracy: sample %d: %w", entry.SampleIndex, err)
-		}
-		dets = append(dets, metrics.Detection{SampleIndex: entry.SampleIndex, Boxes: boxes})
-		truths = append(truths, metrics.GroundTruth{SampleIndex: entry.SampleIndex, Boxes: sample.Boxes})
-	}
-	return metrics.MeanAveragePrecision(dets, truths, iouThreshold)
-}
-
-// CheckTranslation scores a machine-translation accuracy log with corpus
-// BLEU.
-func CheckTranslation(log []loadgen.AccuracyEntry, ds *dataset.SyntheticText) (float64, error) {
-	if len(log) == 0 {
-		return 0, fmt.Errorf("accuracy: empty accuracy log")
-	}
-	var hyps, refs [][]int
-	for _, entry := range log {
-		sample, err := ds.Sample(entry.SampleIndex)
-		if err != nil {
-			return 0, fmt.Errorf("accuracy: sample %d: %w", entry.SampleIndex, err)
-		}
-		tokens, err := payload.DecodeTokens(entry.Data)
-		if err != nil {
-			return 0, fmt.Errorf("accuracy: sample %d: %w", entry.SampleIndex, err)
-		}
-		hyps = append(hyps, tokens)
-		refs = append(refs, sample.RefTokens)
-	}
-	return metrics.CorpusBLEU(hyps, refs)
-}
-
 // Check scores an accuracy log against the appropriate metric for the data
 // set's kind and compares the result to target (derived from the reference
 // quality). It is the batch form of StreamChecker — one implementation of
@@ -127,7 +61,7 @@ func Check(log []loadgen.AccuracyEntry, ds dataset.Dataset, reference, target fl
 // Classification keeps two counters, translation keeps corpus BLEU n-gram
 // statistics (metrics.BLEUAccumulator), and detection — whose mAP needs a
 // global score ranking — keeps only the decoded boxes rather than the raw
-// JSON payloads.
+// payloads.
 type StreamChecker struct {
 	ds        dataset.Dataset
 	reference float64

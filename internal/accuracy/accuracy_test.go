@@ -1,6 +1,7 @@
 package accuracy
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -32,29 +33,8 @@ func classificationFixture(t *testing.T) (*dataset.SyntheticImages, []loadgen.Ac
 	return ds, log
 }
 
-func TestCheckClassification(t *testing.T) {
-	ds, log := classificationFixture(t)
-	acc, err := CheckClassification(log, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 0.75 {
-		t.Errorf("accuracy = %v, want 0.75", acc)
-	}
-	if _, err := CheckClassification(nil, ds); err == nil {
-		t.Error("empty log: expected error")
-	}
-	bad := []loadgen.AccuracyEntry{{SampleIndex: 0, Data: []byte("junk")}}
-	if _, err := CheckClassification(bad, ds); err == nil {
-		t.Error("corrupt payload: expected error")
-	}
-	outOfRange := []loadgen.AccuracyEntry{{SampleIndex: 999, Data: log[0].Data}}
-	if _, err := CheckClassification(outOfRange, ds); err == nil {
-		t.Error("out-of-range sample: expected error")
-	}
-}
-
-func TestCheckDetection(t *testing.T) {
+func detectionFixture(t *testing.T) (*dataset.SyntheticDetection, []loadgen.AccuracyEntry) {
+	t.Helper()
 	ds, err := dataset.NewSyntheticDetection(dataset.ImageConfig{
 		Samples: 10, Classes: 3, Channels: 1, Height: 4, Width: 4, Seed: 2,
 	})
@@ -73,38 +53,65 @@ func TestCheckDetection(t *testing.T) {
 		data := payload.AppendBoxes(nil, boxes)
 		log = append(log, loadgen.AccuracyEntry{SampleIndex: i, Data: data})
 	}
-	mAP, err := CheckDetection(log, ds, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mAP < 0.99 {
-		t.Errorf("perfect detections mAP = %v", mAP)
-	}
-	if _, err := CheckDetection(nil, ds, 0.5); err == nil {
-		t.Error("empty log: expected error")
-	}
+	return ds, log
 }
 
-func TestCheckTranslation(t *testing.T) {
+func translationFixture(t *testing.T) (*dataset.SyntheticText, []loadgen.AccuracyEntry) {
+	t.Helper()
 	ds, err := dataset.NewSyntheticText(dataset.TextConfig{Samples: 12, Vocab: 32, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Perfect hypotheses: echo the reference translations.
 	var log []loadgen.AccuracyEntry
 	for i := 0; i < ds.Size(); i++ {
 		s, _ := ds.Sample(i)
 		data := payload.AppendTokens(nil, s.RefTokens)
 		log = append(log, loadgen.AccuracyEntry{SampleIndex: i, Data: data})
 	}
-	bleu, err := CheckTranslation(log, ds)
-	if err != nil {
-		t.Fatal(err)
+	return ds, log
+}
+
+// TestCheck scores one log per task kind with its metric, and refuses an
+// empty log, an undecodable payload and an out-of-range sample index.
+func TestCheck(t *testing.T) {
+	images, classLog := classificationFixture(t)
+	boxes, detLog := detectionFixture(t)
+	text, textLog := translationFixture(t)
+	cases := []struct {
+		name     string
+		ds       dataset.Dataset
+		log      []loadgen.AccuracyEntry
+		metric   string
+		min, max float64
+	}{
+		{"classification", images, classLog, "top1", 0.75, 0.75},
+		{"detection", boxes, detLog, "mAP", 0.99, math.Inf(1)},
+		{"translation", text, textLog, "BLEU", 99, math.Inf(1)},
 	}
-	if bleu < 99 {
-		t.Errorf("perfect hypotheses BLEU = %v", bleu)
-	}
-	if _, err := CheckTranslation(nil, ds); err == nil {
-		t.Error("empty log: expected error")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			report, err := Check(c.log, c.ds, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.Metric != c.metric || report.Value < c.min || report.Value > c.max || report.Samples != len(c.log) {
+				t.Errorf("report = %+v, want %s in [%v, %v] over %d samples", report, c.metric, c.min, c.max, len(c.log))
+			}
+			refused := []struct {
+				why string
+				log []loadgen.AccuracyEntry
+			}{
+				{"empty log", nil},
+				{"undecodable payload", []loadgen.AccuracyEntry{{SampleIndex: 0, Data: []byte("junk")}}},
+				{"out-of-range sample", []loadgen.AccuracyEntry{{SampleIndex: 999, Data: c.log[0].Data}}},
+			}
+			for _, r := range refused {
+				if _, err := Check(r.log, c.ds, 0, 0); err == nil {
+					t.Errorf("%s: expected error", r.why)
+				}
+			}
+		})
 	}
 }
 

@@ -50,7 +50,7 @@ func newClassificationStore(t *testing.T, samples int) (*dataset.QSL, *dataset.S
 
 func TestNativeClassificationBackend(t *testing.T) {
 	qsl, _ := newClassificationStore(t, 16)
-	classifier, err := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	classifier, err := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestNativeDetectionAndTranslationBackends(t *testing.T) {
 	if err := detQSL.LoadSamplesToRAM([]int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
-	detector, err := model.NewSSDMobileNetMini(model.DetectorConfig{Classes: 5, ImageSize: 16, Seed: 3, ScoreThreshold: 0.1})
+	detector, err := model.New(model.SSDMobileNet, model.Config{Classes: 5, ImageSize: 16, Seed: 3, ScoreThreshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestNativeDetectionAndTranslationBackends(t *testing.T) {
 	if err := textQSL.LoadSamplesToRAM([]int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
-	translator, err := model.NewGNMTMini(model.TranslatorConfig{Vocab: 64, Seed: 4})
+	translator, err := model.New(model.GNMT, model.Config{Vocab: 64, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func (badKindEngine) Kind() dataset.Kind { return dataset.Kind(99) }
 
 func TestNativeConfigErrors(t *testing.T) {
 	qsl, _ := newClassificationStore(t, 4)
-	classifier, _ := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	classifier, _ := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 2})
 	cases := []NativeConfig{
 		{Engine: classifier},                  // no store
 		{Store: qsl},                          // no engine
@@ -166,7 +166,7 @@ func TestNativeConfigErrors(t *testing.T) {
 
 func TestNativeDefaultsNameFromEngine(t *testing.T) {
 	qsl, _ := newClassificationStore(t, 4)
-	classifier, _ := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	classifier, _ := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 2})
 	sut, err := NewNative(NativeConfig{Engine: classifier, Store: qsl})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func (p *poisonStore) Get(index int) (*dataset.Sample, error) {
 // the responses of the healthy samples sharing its chunk.
 func TestNativeIsolatesBadSampleInBatchedChunk(t *testing.T) {
 	qsl, _ := newClassificationStore(t, 8)
-	classifier, err := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	classifier, err := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestNativeRecordsErrorsForUnloadedSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	qsl, _ := dataset.NewQSL(ds) // nothing loaded
-	classifier, _ := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	classifier, _ := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 2})
 	sut, err := NewNative(NativeConfig{Engine: classifier, Store: qsl})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestNativeConfigTuningOverrides(t *testing.T) {
 	defer tensor.SetParallelFlopThreshold(0)
 	defer tensor.SetGEMMPanelBytes(0)
 	qsl, _ := newClassificationStore(t, 8)
-	classifier, err := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	classifier, err := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestNativeConfigTuningOverrides(t *testing.T) {
 // engine's derived micro-batch, and never exceed the query.
 func TestBatchGrainFloorsAtPreferredBatch(t *testing.T) {
 	qsl, _ := newClassificationStore(t, 4)
-	classifier, err := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	classifier, err := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestBatchGrainFloorsAtPreferredBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pref := classifier.PreferredBatch()
+	pref := classifier.(model.BatchSizer).PreferredBatch()
 	if sut.preferredBatch != pref {
 		t.Fatalf("backend recorded preferred batch %d, want %d", sut.preferredBatch, pref)
 	}

@@ -22,7 +22,7 @@ func offlineSettings(n int) loadgen.TestSettings {
 // known counters and the restarted server's live counters — each epoch counted
 // exactly once, neither erased by the restart nor double counted.
 func TestReplicaMetricsAcrossEpochs(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	scfg := serve.Config{Engine: engine, Store: qsl, Workers: 2, BatchWait: time.Millisecond}
 	srv, remote := startLoopback(t, scfg, RemoteConfig{
 		RedialInitial: time.Millisecond, RedialMax: 10 * time.Millisecond, RecoverySeed: 5,
@@ -141,7 +141,7 @@ func TestReplicaMetricsAcrossEpochs(t *testing.T) {
 // has not rejoined contributes an open interval (zero End) to Recovery and
 // counts in DownReplicas.
 func TestDownReplicasOpenInterval(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	srv, remote := startLoopback(t,
 		serve.Config{Engine: engine, Store: qsl, Workers: 1},
 		RemoteConfig{RedialInitial: time.Millisecond, RedialMax: 5 * time.Millisecond})

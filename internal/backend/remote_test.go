@@ -11,11 +11,11 @@ import (
 	"mlperf/internal/tensor"
 )
 
-// buildClassificationStack assembles a MobileNet engine, synthetic data set
+// buildMobileNetStack assembles a MobileNet engine, synthetic data set
 // and QSL for the loopback serving tests.
-func buildClassificationStack(t testing.TB) (model.Engine, *dataset.QSL) {
+func buildMobileNetStack(t testing.TB) (model.Engine, *dataset.QSL) {
 	t.Helper()
-	m, err := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 11})
+	m, err := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func accuracyByIndex(t *testing.T, sut loadgen.SUT, qsl *dataset.QSL) map[int][]
 // serve.Server must produce byte-identical per-sample outputs to the
 // in-process backend.Native path.
 func TestRemoteBitIdenticalToNative(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 
 	native, err := NewNative(NativeConfig{Engine: engine, Store: qsl, Workers: 2})
 	if err != nil {
@@ -117,7 +117,7 @@ func TestRemoteBitIdenticalToNative(t *testing.T) {
 // TestRemoteServerScenarioValid: a provisioned loopback server sustains a
 // modest Server-scenario load with a valid run.
 func TestRemoteServerScenarioValid(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	_, remote := startLoopback(t,
 		serve.Config{Engine: engine, Store: qsl, BatchWait: time.Millisecond},
 		RemoteConfig{})
@@ -154,7 +154,7 @@ func TestRemoteServerScenarioValid(t *testing.T) {
 // streams through the bounded server queue under client flow control without
 // a single reject.
 func TestRemoteOfflineScenario(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	_, remote := startLoopback(t,
 		serve.Config{Engine: engine, Store: qsl, QueueDepth: 64, BatchWait: time.Millisecond},
 		RemoteConfig{MaxInFlight: 32})

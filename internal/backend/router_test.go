@@ -64,7 +64,7 @@ func offlineAccuracyByIndex(t *testing.T, sut loadgen.SUT, qsl *dataset.QSL) map
 // byte-identical per-sample payloads to the in-process backend.Native path —
 // routing must never change what a sample answers, only who answers it.
 func TestReplicaInvariance(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 
 	native, err := NewNative(NativeConfig{Engine: engine, Store: qsl, Workers: 2})
 	if err != nil {
@@ -132,7 +132,7 @@ func TestReplicaInvariance(t *testing.T) {
 // run must land work on every replica, and the per-replica completions must
 // sum to the total.
 func TestRouterSpreadsLoad(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	servers, remote := startFleet(t, 2,
 		serve.Config{Engine: engine, Store: qsl, Workers: 2, BatchWait: time.Millisecond},
 		RemoteConfig{MaxInFlight: 16})
@@ -248,7 +248,7 @@ func TestReplicaDeathRoutesAround(t *testing.T) {
 // TestRemoteModelAddressedFleet: a model-addressed Remote against a fleet of
 // multi-model servers routes by model id on every replica.
 func TestRemoteModelAddressedFleet(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	_, remote := startFleet(t, 2,
 		serve.Config{
 			Store: qsl,

@@ -13,7 +13,7 @@ import (
 // records afterwards.
 func tracedSweep(t *testing.T, clientTr, serverTr *trace.Tracer) (client, server []trace.Record) {
 	t.Helper()
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	_, remote := startLoopback(t,
 		serve.Config{Engine: engine, Store: qsl, Workers: 2, BatchWait: time.Millisecond, Tracer: serverTr},
 		RemoteConfig{Conns: 2, Tracer: clientTr})

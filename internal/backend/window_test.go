@@ -67,7 +67,7 @@ func TestFlowWindowResize(t *testing.T) {
 // TestSetMaxInFlightLive checks the Remote-level half: every replica's window
 // retunes without reconnecting.
 func TestSetMaxInFlightLive(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	_, remote := startFleet(t, 2,
 		serve.Config{Engine: engine, Store: qsl, Workers: 2, BatchWait: time.Millisecond},
 		RemoteConfig{MaxInFlight: 4})
@@ -92,7 +92,7 @@ func TestSetMaxInFlightLive(t *testing.T) {
 // TestRetireSkipsReplica: a retired replica receives no new traffic even
 // though its connections stay healthy, and readmission restores it.
 func TestRetireSkipsReplica(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	servers, remote := startFleet(t, 2,
 		serve.Config{Engine: engine, Store: qsl, Workers: 2, BatchWait: time.Millisecond},
 		RemoteConfig{MaxInFlight: 16})
@@ -138,7 +138,7 @@ func TestRetireSkipsReplica(t *testing.T) {
 // TestRetireLastRoutableRefused: the router never retires itself into a
 // zero-replica fleet.
 func TestRetireLastRoutableRefused(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	_, remote := startFleet(t, 2,
 		serve.Config{Engine: engine, Store: qsl, Workers: 1, BatchWait: time.Millisecond},
 		RemoteConfig{})
@@ -161,7 +161,7 @@ func TestRetireLastRoutableRefused(t *testing.T) {
 // live replicas, and picks the slot up through the redial supervisors when a
 // server later appears there — the client half of a replica spawn.
 func TestTolerateDownStandbySlot(t *testing.T) {
-	engine, qsl := buildClassificationStack(t)
+	engine, qsl := buildMobileNetStack(t)
 	scfg := serve.Config{Engine: engine, Store: qsl, Workers: 2, BatchWait: time.Millisecond}
 	live, err := serve.New(scfg)
 	if err != nil {

@@ -104,17 +104,21 @@ func table(header []string, rows [][]string) string {
 	return b.String()
 }
 
-// Table1 reports the model zoo against the published Table I figures.
+// Table1 reports the reference models against the published Table I figures.
 func Table1(opts Options) (string, error) {
 	opts.normalize()
-	zoo, err := model.NewZoo(model.ZooConfig{Seed: opts.Seed})
-	if err != nil {
-		return "", err
-	}
-	infos := zoo.Infos()
-	rows := make([][]string, 0, len(infos))
+	var rows [][]string
 	for _, name := range model.AllNames() {
-		info := infos[name]
+		// The detectors predict 5 object classes, the classifiers 10 labels.
+		cfg := model.Config{Classes: 10, Vocab: 64, Seed: opts.Seed}
+		if name == model.SSDResNet34 || name == model.SSDMobileNet {
+			cfg.Classes = 5
+		}
+		m, err := model.New(name, cfg)
+		if err != nil {
+			return "", err
+		}
+		info := m.Info()
 		rows = append(rows, []string{
 			info.Area,
 			info.TaskLabel,

@@ -133,174 +133,62 @@ func BuildNative(task core.Task, opts BuildOptions) (*Assembly, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := model.New(spec.ReferenceModel, model.Config{
+		Classes: opts.Classes, ImageSize: opts.ImageSize, Vocab: opts.Vocab, Seed: opts.Seed, ScoreThreshold: 0.2,
+	})
+	if err != nil {
+		return nil, err
+	}
 
-	a := &Assembly{Spec: spec}
-	switch spec.ReferenceModel {
-	case model.ResNet50, model.MobileNetV1:
-		err = a.buildClassification(spec, opts)
-	case model.SSDResNet34, model.SSDMobileNet:
-		err = a.buildDetection(spec, opts)
-	case model.GNMT:
-		err = a.buildTranslation(spec, opts)
+	var ds dataset.Dataset
+	images := dataset.ImageConfig{
+		Name: spec.DatasetName, Samples: opts.DatasetSamples, Classes: opts.Classes,
+		Channels: 3, Height: opts.ImageSize, Width: opts.ImageSize, Seed: opts.Seed + 1,
+	}
+	switch m.Kind() {
+	case dataset.KindImageClassification:
+		ds, err = dataset.NewSyntheticImages(images)
+	case dataset.KindObjectDetection:
+		ds, err = dataset.NewSyntheticDetection(images)
 	default:
-		err = fmt.Errorf("harness: task %s uses unsupported model %s", task, spec.ReferenceModel)
+		ds, err = dataset.NewSyntheticText(dataset.TextConfig{
+			Name: spec.DatasetName, Samples: opts.DatasetSamples, Vocab: opts.Vocab, Seed: opts.Seed + 1,
+		})
 	}
 	if err != nil {
 		return nil, err
 	}
+
+	a := &Assembly{Spec: spec, Info: m.Info(), Dataset: ds, Engine: m}
+	agreement := a.Info.PaperReferenceQuality
+	if m.Kind() == dataset.KindTranslation {
+		agreement /= 100 // BLEU points
+	}
+	if a.ReferenceQuality, err = calibrate(m, ds, agreement, opts.Seed+2, opts.Classes); err != nil {
+		return nil, err
+	}
 	a.QualityTarget = spec.QualityTarget(a.ReferenceQuality)
+	if err := a.maybeQuantize(m, ds, opts); err != nil {
+		return nil, err
+	}
+
+	if a.QSL, err = dataset.NewQSL(ds); err != nil {
+		return nil, err
+	}
+	sut, err := backend.NewNative(backend.NativeConfig{
+		Name: string(spec.ReferenceModel), Engine: m, Store: a.QSL, Workers: opts.Workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	a.SUT, a.observed = sut, sut
 	return a, nil
-}
-
-// buildClassification assembles the two image-classification tasks.
-func (a *Assembly) buildClassification(spec core.TaskSpec, opts BuildOptions) error {
-	cfg := model.ClassifierConfig{Classes: opts.Classes, ImageSize: opts.ImageSize, Seed: opts.Seed}
-	var (
-		classifier *model.ImageClassifier
-		err        error
-	)
-	if spec.ReferenceModel == model.ResNet50 {
-		classifier, err = model.NewResNet50Mini(cfg)
-	} else {
-		classifier, err = model.NewMobileNetV1Mini(cfg)
-	}
-	if err != nil {
-		return err
-	}
-	a.Info = classifier.Info()
-	ds, err := dataset.NewSyntheticImages(dataset.ImageConfig{
-		Name: spec.DatasetName, Samples: opts.DatasetSamples, Classes: opts.Classes,
-		Channels: 3, Height: opts.ImageSize, Width: opts.ImageSize, Seed: opts.Seed + 1,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Establish the FP32 reference quality by oracle relabeling.
-	info, err := model.Describe(spec.ReferenceModel)
-	if err != nil {
-		return err
-	}
-	reference, err := calibrateClassification(classifier, ds, info.PaperReferenceQuality, opts.Seed+2, opts.Classes)
-	if err != nil {
-		return err
-	}
-	a.ReferenceQuality = reference
-
-	if err := a.maybeQuantize(classifier, ds, opts); err != nil {
-		return err
-	}
-
-	qsl, err := dataset.NewQSL(ds)
-	if err != nil {
-		return err
-	}
-	sut, err := backend.NewNative(backend.NativeConfig{
-		Name: string(spec.ReferenceModel), Engine: classifier, Store: qsl, Workers: opts.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	a.Dataset, a.QSL, a.SUT, a.Engine, a.observed = ds, qsl, sut, classifier, sut
-	return nil
-}
-
-// buildDetection assembles the two object-detection tasks.
-func (a *Assembly) buildDetection(spec core.TaskSpec, opts BuildOptions) error {
-	cfg := model.DetectorConfig{Classes: opts.Classes, ImageSize: opts.ImageSize, Seed: opts.Seed, ScoreThreshold: 0.2}
-	var (
-		detector *model.SSDDetector
-		err      error
-	)
-	if spec.ReferenceModel == model.SSDResNet34 {
-		detector, err = model.NewSSDResNet34Mini(cfg)
-	} else {
-		detector, err = model.NewSSDMobileNetMini(cfg)
-	}
-	if err != nil {
-		return err
-	}
-	a.Info = detector.Info()
-	ds, err := dataset.NewSyntheticDetection(dataset.ImageConfig{
-		Name: spec.DatasetName, Samples: opts.DatasetSamples, Classes: opts.Classes,
-		Channels: 3, Height: opts.ImageSize, Width: opts.ImageSize, Seed: opts.Seed + 1,
-	})
-	if err != nil {
-		return err
-	}
-	info, err := model.Describe(spec.ReferenceModel)
-	if err != nil {
-		return err
-	}
-	reference, err := calibrateDetection(detector, ds, info.PaperReferenceQuality, opts.Seed+2)
-	if err != nil {
-		return err
-	}
-	a.ReferenceQuality = reference
-
-	if err := a.maybeQuantize(detector, ds, opts); err != nil {
-		return err
-	}
-
-	qsl, err := dataset.NewQSL(ds)
-	if err != nil {
-		return err
-	}
-	sut, err := backend.NewNative(backend.NativeConfig{
-		Name: string(spec.ReferenceModel), Engine: detector, Store: qsl, Workers: opts.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	a.Dataset, a.QSL, a.SUT, a.Engine, a.observed = ds, qsl, sut, detector, sut
-	return nil
-}
-
-// buildTranslation assembles the machine-translation task.
-func (a *Assembly) buildTranslation(spec core.TaskSpec, opts BuildOptions) error {
-	translator, err := model.NewGNMTMini(model.TranslatorConfig{Vocab: opts.Vocab, Seed: opts.Seed})
-	if err != nil {
-		return err
-	}
-	a.Info = translator.Info()
-	ds, err := dataset.NewSyntheticText(dataset.TextConfig{
-		Name: spec.DatasetName, Samples: opts.DatasetSamples, Vocab: opts.Vocab, Seed: opts.Seed + 1,
-	})
-	if err != nil {
-		return err
-	}
-	info, err := model.Describe(spec.ReferenceModel)
-	if err != nil {
-		return err
-	}
-	reference, err := calibrateTranslation(translator, ds, info.PaperReferenceQuality/100, opts.Seed+2)
-	if err != nil {
-		return err
-	}
-	a.ReferenceQuality = reference
-
-	if err := a.maybeQuantize(translator, ds, opts); err != nil {
-		return err
-	}
-
-	qsl, err := dataset.NewQSL(ds)
-	if err != nil {
-		return err
-	}
-	sut, err := backend.NewNative(backend.NativeConfig{
-		Name: string(spec.ReferenceModel), Engine: translator, Store: qsl, Workers: opts.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	a.Dataset, a.QSL, a.SUT, a.Engine, a.observed = ds, qsl, sut, translator, sut
-	return nil
 }
 
 // maybeQuantize converts the model weights after the FP32 reference quality
 // has been measured, mirroring the closed division's calibration-based
 // post-training quantization.
-func (a *Assembly) maybeQuantize(m model.WeightedModel, ds dataset.Dataset, opts BuildOptions) error {
+func (a *Assembly) maybeQuantize(m model.Model, ds dataset.Dataset, opts BuildOptions) error {
 	if opts.Quantization == "" || opts.Quantization == quantize.FP32 {
 		return nil
 	}
@@ -318,98 +206,58 @@ func (a *Assembly) maybeQuantize(m model.WeightedModel, ds dataset.Dataset, opts
 	return nil
 }
 
-// predictAll runs the reference model over the whole data set as one
-// Engine.Predict call — the same path every SUT serves from — and returns the
-// samples alongside their predictions.
-func predictAll(e model.Engine, ds dataset.Dataset) ([]*dataset.Sample, []model.Output, error) {
+// calibrate runs the reference model over the whole data set as one
+// Engine.Predict call — the same path every SUT serves from — and relabels
+// the ground truth so the model agrees with it on about the agreement
+// fraction of samples: a classification label is moved off the prediction
+// otherwise, a detection's boxes or a translation's reference are replaced
+// by the model's own output. It then scores the outputs with the accuracy
+// script, the same rule that judges a submission, and returns the measured
+// quality.
+func calibrate(m model.Engine, ds dataset.Dataset, agreement float64, seed uint64, classes int) (float64, error) {
 	samples := make([]*dataset.Sample, ds.Size())
 	for i := range samples {
 		sample, err := ds.Sample(i)
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
 		samples[i] = sample
 	}
-	outputs, err := e.Predict(samples, nil)
+	outputs, err := m.Predict(samples, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("harness: calibrating %s: %w", ds.Name(), err)
-	}
-	return samples, outputs, nil
-}
-
-// calibrateClassification relabels the data set so that the classifier's
-// predictions match ground truth for approximately the agreement fraction,
-// then returns the measured Top-1 accuracy.
-func calibrateClassification(e model.Engine, ds *dataset.SyntheticImages, agreement float64, seed uint64, classes int) (float64, error) {
-	_, outputs, err := predictAll(e, ds)
-	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("harness: calibrating %s: %w", ds.Name(), err)
 	}
 	rng := stats.NewRNG(seed)
-	preds := make([]int, len(outputs))
-	labels := make([]int, len(outputs))
+	log := make([]loadgen.AccuracyEntry, len(outputs))
 	for i, out := range outputs {
-		pred := out.Class
-		label := pred
-		if rng.Float64() >= agreement {
-			// Assign a deliberately different label so the model misses it.
-			label = (pred + 1 + rng.Intn(classes-1)) % classes
+		agree := rng.Float64() < agreement
+		switch d := ds.(type) {
+		case *dataset.SyntheticImages:
+			label := out.Class
+			if !agree {
+				// A deliberately different label, so the model misses it.
+				label = (out.Class + 1 + rng.Intn(classes-1)) % classes
+			}
+			err = d.SetLabel(i, label)
+		case *dataset.SyntheticDetection:
+			if agree && len(out.Boxes) > 0 {
+				err = d.SetBoxes(i, append([]metrics.Box(nil), out.Boxes...))
+			}
+		case *dataset.SyntheticText:
+			if agree && len(out.Tokens) > 0 {
+				err = d.SetReference(i, append([]int(nil), out.Tokens...))
+			}
 		}
-		if err := ds.SetLabel(i, label); err != nil {
+		if err != nil {
 			return 0, err
 		}
-		preds[i], labels[i] = pred, label
-	}
-	return metrics.Top1Accuracy(preds, labels)
-}
-
-// calibrateDetection sets the ground-truth boxes to the detector's own output
-// for approximately the agreement fraction of samples and returns the
-// measured mAP.
-func calibrateDetection(e model.Engine, ds *dataset.SyntheticDetection, agreement float64, seed uint64) (float64, error) {
-	samples, outputs, err := predictAll(e, ds)
-	if err != nil {
-		return 0, err
-	}
-	rng := stats.NewRNG(seed)
-	dets := make([]metrics.Detection, len(outputs))
-	truths := make([]metrics.GroundTruth, len(outputs))
-	for i, out := range outputs {
-		truth := samples[i].Boxes
-		if rng.Float64() < agreement && len(out.Boxes) > 0 {
-			truth = append([]metrics.Box(nil), out.Boxes...)
-			if err := ds.SetBoxes(i, truth); err != nil {
-				return 0, err
-			}
+		if log[i].Data, err = out.Encode(); err != nil {
+			return 0, err
 		}
-		dets[i] = metrics.Detection{SampleIndex: i, Boxes: out.Boxes}
-		truths[i] = metrics.GroundTruth{SampleIndex: i, Boxes: truth}
+		log[i].SampleIndex = i
 	}
-	return metrics.MeanAveragePrecision(dets, truths, 0.5)
-}
-
-// calibrateTranslation sets the reference translation to the translator's own
-// output for approximately the agreement fraction of sentences and returns
-// the measured corpus BLEU.
-func calibrateTranslation(e model.Engine, ds *dataset.SyntheticText, agreement float64, seed uint64) (float64, error) {
-	samples, outputs, err := predictAll(e, ds)
-	if err != nil {
-		return 0, err
-	}
-	rng := stats.NewRNG(seed)
-	hyps := make([][]int, len(outputs))
-	refs := make([][]int, len(outputs))
-	for i, out := range outputs {
-		ref := samples[i].RefTokens
-		if rng.Float64() < agreement && len(out.Tokens) > 0 {
-			ref = append([]int(nil), out.Tokens...)
-			if err := ds.SetReference(i, ref); err != nil {
-				return 0, err
-			}
-		}
-		hyps[i], refs[i] = out.Tokens, ref
-	}
-	return metrics.CorpusBLEU(hyps, refs)
+	report, err := accuracy.Check(log, ds, 0, 0)
+	return report.Value, err
 }
 
 // ScoreAccuracyLog runs the accuracy script over an accuracy-mode result for

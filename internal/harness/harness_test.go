@@ -64,6 +64,34 @@ func TestReferenceQualityGolden(t *testing.T) {
 	}
 }
 
+// TestAccuracyRunReproducesReferenceQuality: the reference quality comes from
+// the same scoring rule that judges a submission, so an accuracy-mode run of
+// the unquantized native SUT over the whole data set must report it to the
+// last bit, for every task.
+func TestAccuracyRunReproducesReferenceQuality(t *testing.T) {
+	for _, task := range core.AllTasks() {
+		opts := quickOpts()
+		opts.DatasetSamples = 32
+		a, err := BuildNative(task, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", task, err)
+		}
+		settings := QuickSettings(a.Spec, loadgen.Offline, 1024)
+		settings.MinDuration = 0
+		settings.MinSampleCount = 8
+		report, err := Run(a, RunOptions{Scenario: loadgen.Offline, Settings: &settings, RunAccuracy: true})
+		if err != nil {
+			t.Fatalf("%s: %v", task, err)
+		}
+		if report.Accuracy.Samples != opts.DatasetSamples {
+			t.Errorf("%s: accuracy run scored %d samples, want the whole data set (%d)", task, report.Accuracy.Samples, opts.DatasetSamples)
+		}
+		if got, want := math.Float64bits(report.Accuracy.Value), math.Float64bits(a.ReferenceQuality); got != want {
+			t.Errorf("%s: accuracy run measured %v (0x%016x), reference quality %v (0x%016x)", task, report.Accuracy.Value, got, a.ReferenceQuality, want)
+		}
+	}
+}
+
 func TestBuildNativeAllTasks(t *testing.T) {
 	for _, task := range core.AllTasks() {
 		opts := quickOpts()

@@ -79,14 +79,14 @@ func TestDetectCacheBudget(t *testing.T) {
 // construction (so calibration reaches running replicas).
 func TestMicroBatchBudgetAffectsDerivation(t *testing.T) {
 	defer setMicroBatchCacheBudgetForTest(defaultMicroBatchCacheBudget)()
-	m, err := NewResNet50Mini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 1})
+	m, err := New(ResNet50, Config{Classes: 10, ImageSize: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow := m.PreferredBatch()
+	narrow := m.(BatchSizer).PreferredBatch()
 
 	SetMicroBatchCacheBudget(4 * defaultMicroBatchCacheBudget)
-	if deep := m.PreferredBatch(); deep <= narrow {
+	if deep := m.(BatchSizer).PreferredBatch(); deep <= narrow {
 		t.Errorf("4x budget micro-batch = %d, want deeper than %d", deep, narrow)
 	}
 }

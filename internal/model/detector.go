@@ -5,89 +5,105 @@ import (
 	"math"
 	"sort"
 
+	"mlperf/internal/dataset"
 	"mlperf/internal/metrics"
 	"mlperf/internal/nn"
 	"mlperf/internal/stats"
 	"mlperf/internal/tensor"
 )
 
-// DetectorConfig configures the miniature SSD-style object detectors.
-type DetectorConfig struct {
-	Classes        int // object classes (background is implicit)
-	Channels       int
-	ImageSize      int
-	Seed           uint64
-	ScoreThreshold float64
-	NMSIoU         float64
-	MaxDetections  int
-}
+// Detector post-processing constants: boxes of one class overlapping a kept
+// box by more than ssdNMSIoU are suppressed, and at most ssdMaxDetections
+// boxes are kept per sample.
+const (
+	ssdNMSIoU        = 0.5
+	ssdMaxDetections = 10
+)
 
-func (c *DetectorConfig) normalize() error {
-	if c.Classes <= 0 {
-		return fmt.Errorf("model: detector needs at least 1 object class, got %d", c.Classes)
+// newDetector builds a single-shot detector: a CNN backbone producing a
+// feature map, and a convolutional head that predicts, for every feature-map
+// cell, class scores and box offsets relative to the cell's anchor.
+// SSDResNet34 puts the head on a residual backbone, SSDMobileNet on a
+// depthwise-separable one. Backbone and head run once per micro-batch; only
+// the box decode (threshold + NMS) runs per sample.
+func newDetector(info Info, cfg Config) (*network, error) {
+	if cfg.Classes < 1 {
+		return nil, fmt.Errorf("detector needs at least 1 object class, got %d", cfg.Classes)
 	}
-	if c.Channels <= 0 {
-		c.Channels = 3
+	inShape, err := imageShape(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if c.ImageSize <= 0 {
-		c.ImageSize = 16
+	threshold := cfg.ScoreThreshold
+	if threshold <= 0 {
+		threshold = 0.3
 	}
-	if c.ImageSize < 8 {
-		return fmt.Errorf("model: image size %d too small for the detector backbone", c.ImageSize)
+	var (
+		net *nn.Sequential
+		rng *stats.RNG
+	)
+	if info.Name == SSDResNet34 {
+		rng = stats.NewRNG(cfg.Seed ^ 0x55dd34)
+		net = nn.NewSequential("ssd-resnet34",
+			nn.NewConv("stem", imageChannels, 16, 3, 1, 1, rng),
+			nn.NewResidual("res1", nn.NewSequential("res1_body",
+				nn.NewConv("r1c1", 16, 16, 3, 1, 1, rng),
+				nn.NewConv("r1c2", 16, 16, 3, 1, 1, rng),
+			)),
+			nn.NewConv("down1", 16, 32, 3, 2, 1, rng),
+			nn.NewResidual("res2", nn.NewSequential("res2_body",
+				nn.NewConv("r2c1", 32, 32, 3, 1, 1, rng),
+				nn.NewConv("r2c2", 32, 32, 3, 1, 1, rng),
+			)),
+			nn.NewConv("down2", 32, 32, 3, 2, 1, rng),
+		)
+	} else {
+		rng = stats.NewRNG(cfg.Seed ^ 0x55dd01)
+		net = nn.NewSequential("ssd-mobilenet",
+			nn.NewConv("stem", imageChannels, 8, 3, 2, 1, rng),
+			nn.NewDepthwiseConv("dw1", 8, 3, 1, 1, rng),
+			pointwise("pw1", 8, 16, rng),
+			nn.NewDepthwiseConv("dw2", 16, 3, 2, 1, rng),
+			pointwise("pw2", 16, 16, rng),
+		)
 	}
-	if c.ScoreThreshold <= 0 {
-		c.ScoreThreshold = 0.3
+	featShape, err := net.OutputShape(inShape)
+	if err != nil {
+		return nil, fmt.Errorf("invalid backbone for input %v: %w", inShape, err)
 	}
-	if c.NMSIoU <= 0 {
-		c.NMSIoU = 0.5
-	}
-	if c.MaxDetections <= 0 {
-		c.MaxDetections = 10
-	}
-	return nil
-}
+	head := nn.NewConv("ssd-head", featShape[0], 4+cfg.Classes, 3, 1, 1, rng)
+	head.Relu = false
+	net.Add(head)
 
-// SSDDetector is a single-shot detector: a CNN backbone producing a feature
-// map, and a convolutional head that predicts, for every feature-map cell,
-// class scores and box offsets relative to the cell's anchor.
-type SSDDetector struct {
-	info      Info
-	backbone  *nn.Sequential
-	head      *nn.Conv
-	inShape   []int
-	classes   int
-	cfg       DetectorConfig
-	featH     int
-	featW     int
-	footprint int // per-sample activation bytes; micro-batch derives live
-}
-
-// Info returns the model's metadata with Params and OpsPerInput filled in.
-func (d *SSDDetector) Info() Info { return d.info }
-
-// InputShape returns the expected CHW input shape.
-func (d *SSDDetector) InputShape() []int {
-	s := make([]int, len(d.inShape))
-	copy(s, d.inShape)
-	return s
-}
-
-// Weights implements WeightedModel.
-func (d *SSDDetector) Weights() []*tensor.Tensor {
-	w := collectWeights(d.backbone)
-	w = append(w, d.head.Weights, d.head.Bias)
-	return w
+	return newCNN(info, dataset.KindObjectDetection, net, inShape, func(raw *tensor.Tensor, out []Output, s *tensor.Scratch) error {
+		if raw.Rank() != 4 {
+			return fmt.Errorf("model %s: batched head produced %v, want [perCell N H W]", info.Name, raw.Shape())
+		}
+		// Gather each sample's CHW head output out of the channel-major
+		// batch for the per-sample decode.
+		sampleRaw := s.Tensor(raw.Dim(0), raw.Dim(2), raw.Dim(3))
+		for i := range out {
+			if err := tensor.UnpackSample(sampleRaw, raw, i); err != nil {
+				return err
+			}
+			boxes, err := decodeSSD(sampleRaw, cfg.Classes, threshold)
+			if err != nil {
+				return err
+			}
+			out[i] = Output{Kind: dataset.KindObjectDetection, Boxes: boxes}
+		}
+		return nil
+	})
 }
 
 // decode converts one sample's (perCell × H × W) head output into scored
 // boxes with a sigmoid score per class, a score threshold, and greedy
 // non-maximum suppression — the same post-processing shape as the reference
 // SSD models.
-func (d *SSDDetector) decode(raw *tensor.Tensor) ([]metrics.Box, error) {
+func decodeSSD(raw *tensor.Tensor, classes int, threshold float64) ([]metrics.Box, error) {
 	shape := raw.Shape()
-	perCell := 4 + d.classes
-	if shape[0] != perCell {
-		return nil, fmt.Errorf("model %s: head produced %d channels, want %d", d.info.Name, shape[0], perCell)
+	if perCell := 4 + classes; shape[0] != perCell {
+		return nil, fmt.Errorf("head produced %d channels, want %d", shape[0], perCell)
 	}
 	h, w := shape[1], shape[2]
 	var candidates []metrics.Box
@@ -110,14 +126,14 @@ func (d *SSDDetector) decode(raw *tensor.Tensor) ([]metrics.Box, error) {
 			hp := anchorH * (0.5 + sigmoid64(dh))
 
 			bestClass, bestScore := -1, 0.0
-			for c := 0; c < d.classes; c++ {
+			for c := 0; c < classes; c++ {
 				score := sigmoid64(float64(raw.At(4+c, cy, cx)))
 				if score > bestScore {
 					bestScore = score
 					bestClass = c
 				}
 			}
-			if bestClass < 0 || bestScore < d.cfg.ScoreThreshold {
+			if bestClass < 0 || bestScore < threshold {
 				continue
 			}
 			box := metrics.Box{
@@ -130,7 +146,7 @@ func (d *SSDDetector) decode(raw *tensor.Tensor) ([]metrics.Box, error) {
 			}
 		}
 	}
-	return nonMaxSuppression(candidates, d.cfg.NMSIoU, d.cfg.MaxDetections), nil
+	return nonMaxSuppression(candidates, ssdNMSIoU, ssdMaxDetections), nil
 }
 
 // sigmoid64 is the logistic function rounded through float32 (float32 in,
@@ -170,82 +186,4 @@ func nonMaxSuppression(boxes []metrics.Box, iouThreshold float64, maxKeep int) [
 		}
 	}
 	return kept
-}
-
-// NewSSDResNet34Mini builds the heavyweight detector: an SSD head on a
-// residual backbone.
-func NewSSDResNet34Mini(cfg DetectorConfig) (*SSDDetector, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	rng := stats.NewRNG(cfg.Seed ^ 0x55dd34)
-	backbone := nn.NewSequential("ssd-resnet34-backbone",
-		nn.NewConv("stem", cfg.Channels, 16, 3, 1, 1, rng),
-		nn.NewResidual("res1", nn.NewSequential("res1_body",
-			nn.NewConv("r1c1", 16, 16, 3, 1, 1, rng),
-			nn.NewConv("r1c2", 16, 16, 3, 1, 1, rng),
-		)),
-		nn.NewConv("down1", 16, 32, 3, 2, 1, rng),
-		nn.NewResidual("res2", nn.NewSequential("res2_body",
-			nn.NewConv("r2c1", 32, 32, 3, 1, 1, rng),
-			nn.NewConv("r2c2", 32, 32, 3, 1, 1, rng),
-		)),
-		nn.NewConv("down2", 32, 32, 3, 2, 1, rng),
-	)
-	return finishDetector(SSDResNet34, backbone, 32, cfg, rng)
-}
-
-// NewSSDMobileNetMini builds the lightweight detector: an SSD head on a
-// depthwise-separable backbone.
-func NewSSDMobileNetMini(cfg DetectorConfig) (*SSDDetector, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	rng := stats.NewRNG(cfg.Seed ^ 0x55dd01)
-	backbone := nn.NewSequential("ssd-mobilenet-backbone",
-		nn.NewConv("stem", cfg.Channels, 8, 3, 2, 1, rng),
-		nn.NewDepthwiseConv("dw1", 8, 3, 1, 1, rng),
-		pointwise("pw1", 8, 16, rng),
-		nn.NewDepthwiseConv("dw2", 16, 3, 2, 1, rng),
-		pointwise("pw2", 16, 16, rng),
-	)
-	return finishDetector(SSDMobileNet, backbone, 16, cfg, rng)
-}
-
-// finishDetector attaches the SSD head and fills metadata.
-func finishDetector(name Name, backbone *nn.Sequential, featC int, cfg DetectorConfig, rng *stats.RNG) (*SSDDetector, error) {
-	info, err := Describe(name)
-	if err != nil {
-		return nil, err
-	}
-	inShape := []int{cfg.Channels, cfg.ImageSize, cfg.ImageSize}
-	featShape, err := backbone.OutputShape(inShape)
-	if err != nil {
-		return nil, fmt.Errorf("model %s: invalid backbone for input %v: %w", name, inShape, err)
-	}
-	if featShape[0] != featC {
-		return nil, fmt.Errorf("model %s: backbone produced %d channels, want %d", name, featShape[0], featC)
-	}
-	head := nn.NewConv("ssd-head", featC, 4+cfg.Classes, 3, 1, 1, rng)
-	head.Relu = false
-
-	backOps, err := backbone.Ops(inShape)
-	if err != nil {
-		return nil, err
-	}
-	headOps, err := head.Ops(featShape)
-	if err != nil {
-		return nil, err
-	}
-	footprint, err := activationFootprintBytes(append(append([]nn.Layer{}, backbone.Layers()...), head), inShape)
-	if err != nil {
-		return nil, err
-	}
-	info.Params = backbone.ParamCount() + head.ParamCount()
-	info.OpsPerInput = backOps + headOps
-	return &SSDDetector{
-		info: info, backbone: backbone, head: head, inShape: inShape,
-		classes: cfg.Classes, cfg: cfg, featH: featShape[1], featW: featShape[2],
-		footprint: footprint,
-	}, nil
 }

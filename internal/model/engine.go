@@ -10,7 +10,7 @@ import (
 	"mlperf/internal/tensor"
 )
 
-// Engine is the single inference contract between the model zoo and every
+// Engine is the single inference contract between the models and every
 // caller. A backend hands an Engine a slice of samples — one for a
 // single-stream query, a whole merged query for the server/offline batching
 // path — and receives one Output per sample, in order. Implementers must make
@@ -100,17 +100,17 @@ func withScratch(s *tensor.Scratch, fn func(*tensor.Scratch) error) error {
 // engine from its per-sample activation footprint — wide models whose layer
 // activations are large batch shallow so a micro-batch still fits in cache,
 // while the recurrent translator's tiny per-sentence step state lets it batch
-// up to the cap — replacing the old fixed micro-batch of 8. With a nil
-// Scratch the pooled arena is recycled per micro-batch, so memory stays
-// O(micro-batch); a caller-provided arena cannot be reset mid-call and grows
-// with the whole query (the caller owns its lifecycle). Grouping does not
-// change results: Predict on any batch is bit-identical to per-sample calls,
-// so it is bit-identical under any grouping too.
+// up to the cap. With a nil Scratch the pooled arena is recycled per
+// micro-batch, so memory stays O(micro-batch); a caller-provided arena cannot
+// be reset mid-call and grows with the whole query (the caller owns its
+// lifecycle). Grouping does not change results: Predict on any batch is
+// bit-identical to per-sample calls, so it is bit-identical under any
+// grouping too.
 
 // microBatchCap bounds the derived size: beyond it the batched GEMMs'
 // weight-streaming amortization has flattened and response latency within a
 // merged query starts to dominate. The cache budget dividing the footprint is
-// no longer a constant — see cachebudget.go for the probe/override chain.
+// probed from the host — see cachebudget.go for the probe/override chain.
 const microBatchCap = 64
 
 // microBatchFor derives a micro-batch size from a per-sample activation
@@ -214,150 +214,45 @@ func inMicroBatches(n, size int, fn func(start, end int) error) error {
 	return nil
 }
 
+// network is every built model: its metadata, its weights, its per-sample
+// activation footprint and the step that runs one micro-batch.
+type network struct {
+	info      Info
+	kind      dataset.Kind
+	weights   []*tensor.Tensor
+	footprint int // per-sample activation bytes; the micro-batch derives live
+	// step runs one micro-batch and writes one Output per sample into out.
+	step func(group []*dataset.Sample, out []Output, s *tensor.Scratch) error
+}
+
 // Name implements Engine.
-func (m *ImageClassifier) Name() string { return string(m.info.Name) }
+func (m *network) Name() string { return string(m.info.Name) }
 
 // Kind implements Engine.
-func (m *ImageClassifier) Kind() dataset.Kind { return dataset.KindImageClassification }
+func (m *network) Kind() dataset.Kind { return m.kind }
+
+// Info implements Model.
+func (m *network) Info() Info { return m.info }
+
+// Weights implements Model.
+func (m *network) Weights() []*tensor.Tensor { return m.weights }
 
 // PreferredBatch implements BatchSizer: the micro-batch derived from the
-// backbone's per-sample activation footprint and the LIVE cache budget —
-// derived per call, not frozen at construction, so calibration or a
-// SetMicroBatchCacheBudget override reaches engines that already exist.
-func (m *ImageClassifier) PreferredBatch() int { return microBatchFor(m.footprint) }
+// per-sample activation footprint and the LIVE cache budget — derived per
+// call, not frozen at construction, so calibration or a
+// SetMicroBatchCacheBudget override reaches models that already exist.
+func (m *network) PreferredBatch() int { return microBatchFor(m.footprint) }
 
-// Predict implements Engine: each micro-batch runs as one im2col+GEMM per
-// convolution layer and one GEMM through the classifier head.
-func (m *ImageClassifier) Predict(samples []*dataset.Sample, s *tensor.Scratch) ([]Output, error) {
+// Predict implements Engine: the samples run through the model's step one
+// micro-batch at a time, each on s or on a pooled arena.
+func (m *network) Predict(samples []*dataset.Sample, s *tensor.Scratch) ([]Output, error) {
 	if len(samples) == 0 {
 		return nil, nil
 	}
 	outputs := make([]Output, len(samples))
 	err := inMicroBatches(len(samples), m.PreferredBatch(), func(start, end int) error {
-		group := samples[start:end]
 		return withScratch(s, func(s *tensor.Scratch) error {
-			batch, err := stackImages(m.info.Name, m.inShape, group, s)
-			if err != nil {
-				return err
-			}
-			logits, err := m.net.Forward(batch, s)
-			if err != nil {
-				return err
-			}
-			if logits.Rank() != 2 || logits.Dim(1) != len(group) {
-				return fmt.Errorf("model %s: batched head produced %v, want [classes %d]", m.info.Name, logits.Shape(), len(group))
-			}
-			for i := range group {
-				class, err := tensor.ColumnArgMax(logits, i)
-				if err != nil {
-					return err
-				}
-				outputs[start+i] = Output{Kind: dataset.KindImageClassification, Class: class}
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outputs, nil
-}
-
-// Name implements Engine.
-func (d *SSDDetector) Name() string { return string(d.info.Name) }
-
-// Kind implements Engine.
-func (d *SSDDetector) Kind() dataset.Kind { return dataset.KindObjectDetection }
-
-// PreferredBatch implements BatchSizer (live-derived; see ImageClassifier).
-func (d *SSDDetector) PreferredBatch() int { return microBatchFor(d.footprint) }
-
-// Predict implements Engine: backbone and head each run once over every
-// micro-batch; only the box decode (threshold + NMS) runs per sample.
-func (d *SSDDetector) Predict(samples []*dataset.Sample, s *tensor.Scratch) ([]Output, error) {
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	outputs := make([]Output, len(samples))
-	err := inMicroBatches(len(samples), d.PreferredBatch(), func(start, end int) error {
-		group := samples[start:end]
-		return withScratch(s, func(s *tensor.Scratch) error {
-			batch, err := stackImages(d.info.Name, d.inShape, group, s)
-			if err != nil {
-				return err
-			}
-			features, err := d.backbone.Forward(batch, s)
-			if err != nil {
-				return err
-			}
-			raw, err := d.head.Forward(features, s)
-			if err != nil {
-				return err
-			}
-			if raw.Rank() != 4 {
-				return fmt.Errorf("model %s: batched head produced %v, want [perCell N H W]", d.info.Name, raw.Shape())
-			}
-			// Gather each sample's CHW head output out of the channel-major
-			// batch for the per-sample decode (threshold + NMS).
-			sampleRaw := s.Tensor(raw.Dim(0), raw.Dim(2), raw.Dim(3))
-			for i := range group {
-				if err := tensor.UnpackSample(sampleRaw, raw, i); err != nil {
-					return err
-				}
-				boxes, err := d.decode(sampleRaw)
-				if err != nil {
-					return err
-				}
-				outputs[start+i] = Output{Kind: dataset.KindObjectDetection, Boxes: boxes}
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outputs, nil
-}
-
-// Name implements Engine.
-func (g *GNMTMini) Name() string { return string(g.info.Name) }
-
-// Kind implements Engine.
-func (g *GNMTMini) Kind() dataset.Kind { return dataset.KindTranslation }
-
-// PreferredBatch implements BatchSizer: the recurrent step state per sentence
-// is tiny, so the translator batches up to the cap (live-derived; see
-// ImageClassifier).
-func (g *GNMTMini) PreferredBatch() int { return microBatchFor(g.footprint) }
-
-// Predict implements Engine. Each micro-batch decodes as one greedy pass:
-// every recurrent step runs the active sentences through one GEMM per weight
-// matrix, with finished sentences compacting out of the batch
-// (nn.Seq2Seq.TranslateBatch). Ragged decoding lengths therefore cost only
-// the steps they use, and a sentence's tokens do not depend on its batch.
-func (g *GNMTMini) Predict(samples []*dataset.Sample, s *tensor.Scratch) ([]Output, error) {
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	outputs := make([]Output, len(samples))
-	err := inMicroBatches(len(samples), g.PreferredBatch(), func(start, end int) error {
-		group := samples[start:end]
-		srcs := make([][]int, len(group))
-		for i, sample := range group {
-			if sample == nil || sample.Tokens == nil {
-				return fmt.Errorf("model %s: sample %d carries no tokens", g.info.Name, start+i)
-			}
-			srcs[i] = sample.Tokens
-		}
-		return withScratch(s, func(s *tensor.Scratch) error {
-			translated, err := g.net.TranslateBatch(srcs, s)
-			if err != nil {
-				return err
-			}
-			for i, tokens := range translated {
-				outputs[start+i] = Output{Kind: dataset.KindTranslation, Tokens: tokens}
-			}
-			return nil
+			return m.step(samples[start:end], outputs[start:end], s)
 		})
 	})
 	if err != nil {

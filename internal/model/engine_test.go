@@ -9,6 +9,9 @@ import (
 	"mlperf/internal/tensor"
 )
 
+// imageCHW is the input shape of every vision model built at ImageSize 16.
+var imageCHW = []int{imageChannels, 16, 16}
+
 // randSamples builds n random CHW image samples matching shape.
 func randSamples(r *rand.Rand, n int, shape []int) []*dataset.Sample {
 	out := make([]*dataset.Sample, n)
@@ -78,26 +81,21 @@ func predictSingles(t *testing.T, e Engine, samples []*dataset.Sample) []Output 
 
 func TestClassifierBatchMatchesSingles(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	builds := map[string]func(ClassifierConfig) (*ImageClassifier, error){
-		"resnet50":  NewResNet50Mini,
-		"mobilenet": NewMobileNetV1Mini,
-		"wide":      NewWideResNetMini,
-	}
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			m, err := build(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 5})
+	for label, name := range map[string]Name{"resnet50": ResNet50, "mobilenet": MobileNetV1, "wide": ResNet50Wide} {
+		t.Run(label, func(t *testing.T) {
+			m, err := New(name, Config{Classes: 10, ImageSize: 16, Seed: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Ragged sizes including 1 and a non-divisor final batch.
 			for _, batch := range []int{1, 3, 8, 5} {
-				samples := randSamples(r, batch, m.InputShape())
+				samples := randSamples(r, batch, imageCHW)
 				got, err := m.Predict(samples, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := predictSingles(t, m, samples)
-				requireSameOutputs(t, got, want, name)
+				requireSameOutputs(t, got, want, label)
 			}
 		})
 	}
@@ -105,24 +103,20 @@ func TestClassifierBatchMatchesSingles(t *testing.T) {
 
 func TestDetectorBatchMatchesSingles(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
-	builds := map[string]func(DetectorConfig) (*SSDDetector, error){
-		"ssd-resnet34":  NewSSDResNet34Mini,
-		"ssd-mobilenet": NewSSDMobileNetMini,
-	}
-	for name, build := range builds {
-		t.Run(name, func(t *testing.T) {
-			d, err := build(DetectorConfig{Classes: 5, ImageSize: 16, Seed: 6, ScoreThreshold: 0.1})
+	for label, name := range map[string]Name{"ssd-resnet34": SSDResNet34, "ssd-mobilenet": SSDMobileNet} {
+		t.Run(label, func(t *testing.T) {
+			d, err := New(name, Config{Classes: 5, ImageSize: 16, Seed: 6, ScoreThreshold: 0.1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, batch := range []int{1, 4, 7} {
-				samples := randSamples(r, batch, d.InputShape())
+				samples := randSamples(r, batch, imageCHW)
 				got, err := d.Predict(samples, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := predictSingles(t, d, samples)
-				requireSameOutputs(t, got, want, name)
+				requireSameOutputs(t, got, want, label)
 			}
 		})
 	}
@@ -130,11 +124,11 @@ func TestDetectorBatchMatchesSingles(t *testing.T) {
 
 func TestPredictOnRecycledScratchIsStable(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	m, err := NewResNet50Mini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 7})
+	m, err := New(ResNet50, Config{Classes: 10, ImageSize: 16, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := randSamples(r, 6, m.InputShape())
+	samples := randSamples(r, 6, imageCHW)
 	s := tensor.NewScratch()
 	var first []Output
 	for pass := 0; pass < 3; pass++ {
@@ -162,7 +156,7 @@ func TestPredictOnRecycledScratchIsStable(t *testing.T) {
 // from the original heap-allocating serial decoder: neither the arena nor
 // batching may change a single token.
 func TestTranslateGoldenOutputs(t *testing.T) {
-	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 4})
+	g, err := New(GNMT, Config{Vocab: 64, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +207,11 @@ func randTextSamples(r *rand.Rand, n, vocab, maxLen int) []*dataset.Sample {
 // batch — is bit-identical to N Predict calls on one sentence each.
 func TestGNMTBatchMatchesSingles(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
-	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 10})
+	g, err := New(GNMT, Config{Vocab: 64, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := []int{1, 2, 5, 9, g.PreferredBatch() + 3}
+	batches := []int{1, 2, 5, 9, g.(BatchSizer).PreferredBatch() + 3}
 	for _, batch := range batches {
 		samples := randTextSamples(r, batch, 64, 12)
 		got, err := g.Predict(samples, nil)
@@ -232,11 +226,13 @@ func TestGNMTBatchMatchesSingles(t *testing.T) {
 // wins makes every sentence finish on decode step 1; the batch must drain on
 // that step and return empty translations, as each sentence alone does.
 func TestGNMTBatchAllFinishImmediately(t *testing.T) {
-	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 11})
+	g, err := New(GNMT, Config{Vocab: 64, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.net.Output.Bias.Data()[g.net.EOS] = 1000
+	weights := g.Weights()
+	outputBias := weights[len(weights)-1]
+	outputBias.Data()[1] = 1000 // token 1 is EOS
 	samples := []*dataset.Sample{
 		{Index: 0, Tokens: []int{5, 9, 3}},
 		{Index: 1, Tokens: []int{7}},
@@ -259,7 +255,7 @@ func TestGNMTBatchAllFinishImmediately(t *testing.T) {
 // single token.
 func TestGNMTBatchOnRecycledScratchIsStable(t *testing.T) {
 	r := rand.New(rand.NewSource(36))
-	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 12})
+	g, err := New(GNMT, Config{Vocab: 64, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,39 +291,39 @@ func TestGNMTBatchOnRecycledScratchIsStable(t *testing.T) {
 // probed from the host's L2; see cachebudget.go).
 func TestMicroBatchDerivation(t *testing.T) {
 	defer setMicroBatchCacheBudgetForTest(defaultMicroBatchCacheBudget)()
-	resnet, err := NewResNet50Mini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 1})
+	resnet, err := New(ResNet50, Config{Classes: 10, ImageSize: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mobilenet, err := NewMobileNetV1Mini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 1})
+	mobilenet, err := New(MobileNetV1, Config{Classes: 10, ImageSize: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := NewWideResNetMini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 1})
+	wide, err := New(ResNet50Wide, Config{Classes: 10, ImageSize: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gnmt, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 1})
+	gnmt, err := New(GNMT, Config{Vocab: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resnet.PreferredBatch(); got != 8 {
+	if got := resnet.(BatchSizer).PreferredBatch(); got != 8 {
 		t.Errorf("resnet micro-batch = %d, want 8", got)
 	}
-	if got := mobilenet.PreferredBatch(); got <= resnet.PreferredBatch() {
-		t.Errorf("mobilenet micro-batch = %d, want deeper than resnet's %d", got, resnet.PreferredBatch())
+	if got := mobilenet.(BatchSizer).PreferredBatch(); got <= resnet.(BatchSizer).PreferredBatch() {
+		t.Errorf("mobilenet micro-batch = %d, want deeper than resnet's %d", got, resnet.(BatchSizer).PreferredBatch())
 	}
-	if got := wide.PreferredBatch(); got >= resnet.PreferredBatch() || got < 1 {
-		t.Errorf("wide micro-batch = %d, want shallower than resnet's %d", got, resnet.PreferredBatch())
+	if got := wide.(BatchSizer).PreferredBatch(); got >= resnet.(BatchSizer).PreferredBatch() || got < 1 {
+		t.Errorf("wide micro-batch = %d, want shallower than resnet's %d", got, resnet.(BatchSizer).PreferredBatch())
 	}
-	if got := gnmt.PreferredBatch(); got != microBatchCap {
+	if got := gnmt.(BatchSizer).PreferredBatch(); got != microBatchCap {
 		t.Errorf("gnmt micro-batch = %d, want the cap %d", got, microBatchCap)
 	}
-	det, err := NewSSDResNet34Mini(DetectorConfig{Classes: 5, ImageSize: 16, Seed: 1})
+	det, err := New(SSDResNet34, Config{Classes: 5, ImageSize: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := det.PreferredBatch(); got < 1 {
+	if got := det.(BatchSizer).PreferredBatch(); got < 1 {
 		t.Errorf("detector micro-batch = %d", got)
 	}
 }
@@ -335,24 +331,24 @@ func TestMicroBatchDerivation(t *testing.T) {
 // TestWideModelWeightsExceedL2 pins the premise of the weight-streaming
 // benchmark: the wide classifier's weights cannot be cache-resident.
 func TestWideModelWeightsExceedL2(t *testing.T) {
-	wide, err := NewWideResNetMini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	wide, err := New(ResNet50Wide, Config{Classes: 10, ImageSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes := weightBytes(wide); bytes <= wideL2Budget {
+	if bytes := weightBytes(wide.Weights()); bytes <= wideL2Budget {
 		t.Fatalf("wide model weights = %d bytes, want > %d", bytes, wideL2Budget)
 	}
-	small, err := NewResNet50Mini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 2})
+	small, err := New(ResNet50, Config{Classes: 10, ImageSize: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if weightBytes(small) >= weightBytes(wide) {
+	if weightBytes(small.Weights()) >= weightBytes(wide.Weights()) {
 		t.Error("wide model should carry more weight bytes than the mini ResNet")
 	}
 }
 
 func TestPredictValidatesSamples(t *testing.T) {
-	m, err := NewMobileNetV1Mini(ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 9})
+	m, err := New(MobileNetV1, Config{Classes: 10, ImageSize: 16, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,32 +67,26 @@ type goldenCase struct {
 	samples   []*dataset.Sample
 }
 
-// goldenCases builds the five zoo models plus resnet50-wide exactly as the
+// goldenCases builds the five suite models plus resnet50-wide exactly as the
 // recording did.
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	var cases []goldenCase
-	ccfg := ClassifierConfig{Classes: 10, ImageSize: 16, Seed: goldenSeed}
-	for _, build := range []func(ClassifierConfig) (*ImageClassifier, error){NewResNet50Mini, NewMobileNetV1Mini, NewWideResNetMini} {
-		m, err := build(ccfg)
+	for _, name := range []Name{ResNet50, MobileNetV1, ResNet50Wide, SSDResNet34, SSDMobileNet, GNMT} {
+		cfg, samples := Config{Classes: 10, ImageSize: 16, Seed: goldenSeed}, goldenImages(goldenSeed+1, goldenSamples, imageCHW)
+		switch name {
+		case SSDResNet34, SSDMobileNet:
+			cfg, samples = Config{Classes: 5, ImageSize: 16, Seed: goldenSeed, ScoreThreshold: 0.1}, goldenImages(goldenSeed+2, goldenSamples, imageCHW)
+		case GNMT:
+			cfg, samples = Config{Vocab: 64, Seed: goldenSeed}, goldenSentences(goldenSeed+3, goldenSamples, 64, 12)
+		}
+		m, err := New(name, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, goldenCase{m, m.footprint, goldenImages(goldenSeed+1, goldenSamples, m.InputShape())})
+		cases = append(cases, goldenCase{m, m.(*network).footprint, samples})
 	}
-	dcfg := DetectorConfig{Classes: 5, ImageSize: 16, Seed: goldenSeed, ScoreThreshold: 0.1}
-	for _, build := range []func(DetectorConfig) (*SSDDetector, error){NewSSDResNet34Mini, NewSSDMobileNetMini} {
-		d, err := build(dcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, goldenCase{d, d.footprint, goldenImages(goldenSeed+2, goldenSamples, d.InputShape())})
-	}
-	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: goldenSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(cases, goldenCase{g, g.footprint, goldenSentences(goldenSeed+3, goldenSamples, 64, 12)})
+	return cases
 }
 
 func TestPredictMatchesParentSingleSampleGoldens(t *testing.T) {

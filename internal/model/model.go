@@ -1,29 +1,35 @@
-// Package model provides the reference-model zoo of the benchmark suite.
-// The paper's five reference models (ResNet-50 v1.5, MobileNet-v1,
-// SSD-ResNet-34, SSD-MobileNet-v1 and GNMT) are substituted with miniature
-// but structurally faithful analogues built on the internal nn package:
-// residual stacks, depthwise-separable stacks, SSD-style detection heads on
-// both backbones and a recurrent encoder–decoder with attention. Each model
-// carries metadata mirroring Table I (parameters, operations per input,
-// quality metric and target) so the suite's quality-target machinery behaves
-// like the original.
+// Package model builds the benchmark's reference models and runs them. The
+// paper's five reference models (ResNet-50 v1.5, MobileNet-v1, SSD-ResNet-34,
+// SSD-MobileNet-v1 and GNMT) are substituted with miniature but structurally
+// faithful analogues built on the internal nn package: residual stacks,
+// depthwise-separable stacks, SSD-style detection heads on both backbones and
+// a recurrent encoder–decoder with attention. Each model carries metadata
+// mirroring Table I (parameters, operations per input, quality metric and
+// target) so the suite's quality-target machinery behaves like the original.
 //
-// Every model is reached through ONE contract, Engine, and Engine.Predict is
-// the only way to run a model: backends, the harness's calibration and the
-// tests all hand it a slice of samples — a single-stream query is a slice of
-// one, a merged offline/server query a long one — and the CNN models execute
-// it as one im2col+GEMM per layer while the recurrent translator decodes the
-// whole batch greedily, one GEMM per weight matrix per step with finished
+// New(name, Config) is the one constructor. Config holds the five settings a
+// caller chooses — classes, image size, vocabulary, seed and the detectors'
+// score threshold — and every other architectural figure is a constant of
+// the model. The returned Model is an Engine plus its Table I Info and its
+// weight tensors (for post-training quantization).
+//
+// Engine.Predict is the only way to run a model: backends, the harness's
+// calibration and the tests all hand it a slice of samples — a single-stream
+// query is a slice of one, a merged offline/server query a long one. One
+// micro-batch driver serves every model; per micro-batch the CNNs run one
+// im2col+GEMM per layer and then take a per-sample argmax (classifiers) or an
+// SSD box decode (detectors), while the translator decodes the whole
+// micro-batch greedily, one GEMM per weight matrix per step with finished
 // sentences compacting out of the active set (nn.Seq2Seq.TranslateBatch).
 // Predict on a batch of N is bit-identical to N calls on batches of one, so
 // dynamic batching is purely a scheduling decision.
 //
-// Large batches run as micro-batches whose size each engine derives from its
-// per-sample activation footprint against a fixed cache budget (see
-// microBatchFor): wide-activation models batch shallow so one micro-batch's
-// working set stays cache-resident, the translator's tiny step state batches
-// to the cap. Engines publish the derived size through BatchSizer so
-// backends can size inference chunks to it.
+// The micro-batch size derives from each model's per-sample activation
+// footprint against a cache budget (see microBatchFor): wide-activation
+// models batch shallow so one micro-batch's working set stays cache-resident,
+// the translator's tiny step state batches to the cap. Models publish the
+// derived size through BatchSizer so backends can size inference chunks to
+// it.
 package model
 
 import (
@@ -56,12 +62,55 @@ func AllNames() []Name {
 	return []Name{ResNet50, MobileNetV1, SSDResNet34, SSDMobileNet, GNMT}
 }
 
-// WeightedModel exposes a model's weight tensors for post-training
-// quantization (Section III-B / IV-A allow weight-format changes with
-// calibration but prohibit retraining).
-type WeightedModel interface {
-	// Weights returns the model's mutable weight tensors.
+// Model is a built reference model: the Engine that runs it, its Table I
+// metadata and its weight tensors.
+type Model interface {
+	Engine
+	// Info returns the model's metadata with Params and OpsPerInput filled
+	// in from the built network.
+	Info() Info
+	// Weights returns the model's mutable weight tensors, for post-training
+	// quantization (Sections III-B and IV-A allow weight-format changes with
+	// calibration but prohibit retraining).
 	Weights() []*tensor.Tensor
+}
+
+// Config sets the parameters a caller chooses when building a model. Fields a
+// model kind does not use are ignored.
+type Config struct {
+	// Classes is the label count of a classifier (at least 2) or the object
+	// class count of a detector (at least 1; background is implicit).
+	Classes int
+	// ImageSize is the square input height and width of the vision models:
+	// 0 means 16, anything else must be at least 8.
+	ImageSize int
+	// Vocab is the translator's source and target vocabulary (at least 8).
+	Vocab int
+	// Seed drives weight initialization.
+	Seed uint64
+	// ScoreThreshold is the detectors' minimum box score (0 means 0.3).
+	ScoreThreshold float64
+}
+
+// New builds the named reference model deterministically from cfg.Seed.
+func New(name Name, cfg Config) (Model, error) {
+	info, err := Describe(name)
+	if err != nil {
+		return nil, err
+	}
+	var m *network
+	switch name {
+	case GNMT:
+		m, err = newGNMT(info, cfg)
+	case ResNet50, MobileNetV1, ResNet50Wide:
+		m, err = newClassifier(info, cfg)
+	case SSDResNet34, SSDMobileNet:
+		m, err = newDetector(info, cfg)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("model: building %s: %w", name, err)
+	}
+	return m, nil
 }
 
 // Info is the Table I metadata for a reference model.
@@ -100,8 +149,7 @@ func (i Info) QualityTarget(referenceQuality float64) float64 {
 var ErrUnknownModel = fmt.Errorf("model: unknown reference model")
 
 // Describe returns the static Table I metadata for a model name. The Params
-// and OpsPerInput fields are zero until a concrete model is built; BuildInfo
-// fills them from an instantiated model.
+// and OpsPerInput fields are zero; a built Model's Info fills them in.
 func Describe(n Name) (Info, error) {
 	switch n {
 	case ResNet50:

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"testing"
 
 	"mlperf/internal/dataset"
@@ -51,12 +52,12 @@ func TestDescribeTableIQualityTargets(t *testing.T) {
 	}
 }
 
-func classifierCfg() ClassifierConfig {
-	return ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 7}
+func classifierCfg() Config {
+	return Config{Classes: 10, ImageSize: 16, Seed: 7}
 }
 
 func TestResNet50Mini(t *testing.T) {
-	m, err := NewResNet50Mini(classifierCfg())
+	m, err := New(ResNet50, classifierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestResNet50Mini(t *testing.T) {
 }
 
 func TestMobileNetV1Mini(t *testing.T) {
-	m, err := NewMobileNetV1Mini(classifierCfg())
+	m, err := New(MobileNetV1, classifierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,21 +91,17 @@ func TestMobileNetV1Mini(t *testing.T) {
 	if _, err := predictOne(m, img); err != nil {
 		t.Fatal(err)
 	}
-	shape := m.InputShape()
-	if shape[0] != 3 || shape[1] != 16 {
-		t.Errorf("input shape = %v", shape)
-	}
 }
 
 func TestHeavyVsLightComputeOrdering(t *testing.T) {
 	// The paper's heavy/light pairing must hold for the miniatures too:
 	// ResNet-50 mini must cost several times more ops and params than
 	// MobileNet mini, and SSD-ResNet more than SSD-MobileNet.
-	resnet, err := NewResNet50Mini(classifierCfg())
+	resnet, err := New(ResNet50, classifierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mobilenet, err := NewMobileNetV1Mini(classifierCfg())
+	mobilenet, err := New(MobileNetV1, classifierCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +114,11 @@ func TestHeavyVsLightComputeOrdering(t *testing.T) {
 			resnet.Info().Params, mobilenet.Info().Params)
 	}
 
-	ssdRes, err := NewSSDResNet34Mini(DetectorConfig{Classes: 5, ImageSize: 16, Seed: 7})
+	ssdRes, err := New(SSDResNet34, Config{Classes: 5, ImageSize: 16, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssdMob, err := NewSSDMobileNetMini(DetectorConfig{Classes: 5, ImageSize: 16, Seed: 7})
+	ssdMob, err := New(SSDMobileNet, Config{Classes: 5, ImageSize: 16, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +128,9 @@ func TestHeavyVsLightComputeOrdering(t *testing.T) {
 	}
 }
 
-func TestClassifierConfigErrors(t *testing.T) {
-	if _, err := NewResNet50Mini(ClassifierConfig{Classes: 1}); err == nil {
-		t.Error("1 class: expected error")
-	}
-	if _, err := NewMobileNetV1Mini(ClassifierConfig{Classes: 10, ImageSize: 4}); err == nil {
-		t.Error("tiny image: expected error")
-	}
-}
-
 func TestClassifierDeterminism(t *testing.T) {
-	a, _ := NewResNet50Mini(classifierCfg())
-	b, _ := NewResNet50Mini(classifierCfg())
+	a, _ := New(ResNet50, classifierCfg())
+	b, _ := New(ResNet50, classifierCfg())
 	img := tensor.MustNew(3, 16, 16)
 	rng := stats.NewRNG(5)
 	for i := range img.Data() {
@@ -156,8 +144,8 @@ func TestClassifierDeterminism(t *testing.T) {
 }
 
 func TestSSDDetectors(t *testing.T) {
-	for _, build := range []func(DetectorConfig) (*SSDDetector, error){NewSSDResNet34Mini, NewSSDMobileNetMini} {
-		d, err := build(DetectorConfig{Classes: 5, ImageSize: 16, Seed: 3, ScoreThreshold: 0.1})
+	for _, name := range []Name{SSDResNet34, SSDMobileNet} {
+		d, err := New(name, Config{Classes: 5, ImageSize: 16, Seed: 3, ScoreThreshold: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,17 +185,8 @@ func TestSSDDetectors(t *testing.T) {
 	}
 }
 
-func TestDetectorConfigErrors(t *testing.T) {
-	if _, err := NewSSDResNet34Mini(DetectorConfig{Classes: 0}); err == nil {
-		t.Error("0 classes: expected error")
-	}
-	if _, err := NewSSDMobileNetMini(DetectorConfig{Classes: 5, ImageSize: 4}); err == nil {
-		t.Error("tiny image: expected error")
-	}
-}
-
 func TestGNMTMini(t *testing.T) {
-	g, err := NewGNMTMini(TranslatorConfig{Vocab: 64, Seed: 9})
+	g, err := New(GNMT, Config{Vocab: 64, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,42 +205,80 @@ func TestGNMTMini(t *testing.T) {
 	if len(g.Weights()) == 0 {
 		t.Error("no weights exposed")
 	}
-	if _, err := NewGNMTMini(TranslatorConfig{Vocab: 2}); err == nil {
-		t.Error("tiny vocab: expected error")
-	}
+	expectRefusals(t, []refusal{
+		{GNMT, Config{Vocab: 2}, "tiny vocab"},
+		{GNMT, Config{}, "0 vocab"},
+	})
 }
 
+// TestZoo builds every model the suite serves, plus the weight-streaming
+// wide classifier, through New and checks what each reports; an unknown name
+// is refused with ErrUnknownModel.
 func TestZoo(t *testing.T) {
-	zoo, err := NewZoo(ZooConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	infos := zoo.Infos()
-	if len(infos) != 6 { // the five suite models plus the weight-streaming wide classifier
-		t.Fatalf("zoo has %d models", len(infos))
-	}
-	if _, err := zoo.Weighted(ResNet50Wide); err != nil {
-		t.Errorf("Weighted(%s): %v", ResNet50Wide, err)
-	}
-	for _, n := range AllNames() {
-		info, ok := infos[n]
-		if !ok {
-			t.Errorf("zoo missing %s", n)
-			continue
+	params := map[Name]int64{}
+	for _, name := range append(AllNames(), ResNet50Wide) {
+		cfg, kind := Config{Classes: 10, ImageSize: 16, Seed: 1}, dataset.KindImageClassification
+		switch name {
+		case SSDResNet34, SSDMobileNet:
+			cfg, kind = Config{Classes: 5, ImageSize: 16, Seed: 1}, dataset.KindObjectDetection
+		case GNMT:
+			cfg, kind = Config{Vocab: 64, Seed: 1}, dataset.KindTranslation
 		}
-		if info.Params <= 0 {
-			t.Errorf("%s: params not computed", n)
+		m, err := New(name, cfg)
+		if err != nil {
+			t.Fatalf("New(%s): %v", name, err)
 		}
-		if _, err := zoo.Weighted(n); err != nil {
-			t.Errorf("Weighted(%s): %v", n, err)
+		if m.Name() != string(name) || m.Info().Name != name || m.Kind() != kind {
+			t.Errorf("New(%s): name %q, info name %q, kind %v; want kind %v", name, m.Name(), m.Info().Name, m.Kind(), kind)
 		}
-	}
-	if _, err := zoo.Weighted("bert"); err == nil {
-		t.Error("unknown model: expected error")
+		if m.Info().Params <= 0 {
+			t.Errorf("%s: params not computed", name)
+		}
+		if len(m.Weights()) == 0 {
+			t.Errorf("%s: no weights exposed", name)
+		}
+		params[name] = m.Info().Params
 	}
 	// GNMT is by far the largest parameter count in Table I; the miniature
 	// should preserve that ordering against the vision models.
-	if infos[GNMT].Params <= infos[MobileNetV1].Params {
+	if params[GNMT] <= params[MobileNetV1] {
 		t.Error("GNMT mini should have more parameters than MobileNet mini")
 	}
+
+	if _, err := New("bert", Config{Classes: 10}); !errors.Is(err, ErrUnknownModel) {
+		t.Errorf("unknown model: err = %v, want ErrUnknownModel", err)
+	}
+}
+
+type refusal struct {
+	name Name
+	cfg  Config
+	why  string
+}
+
+// expectRefusals checks that New rejects each configuration without
+// returning a model.
+func expectRefusals(t *testing.T, refusals []refusal) {
+	t.Helper()
+	for _, r := range refusals {
+		if m, err := New(r.name, r.cfg); err == nil || m != nil {
+			t.Errorf("New(%s) with %s: got %v, %v; want an error and no model", r.name, r.why, m, err)
+		}
+	}
+}
+
+func TestClassifierConfigErrors(t *testing.T) {
+	expectRefusals(t, []refusal{
+		{ResNet50, Config{Classes: 1}, "1 class"},
+		{MobileNetV1, Config{ImageSize: 16}, "0 classes"},
+		{ResNet50Wide, Config{Classes: 1}, "1 class"},
+		{MobileNetV1, Config{Classes: 10, ImageSize: 4}, "tiny image"},
+	})
+}
+
+func TestDetectorConfigErrors(t *testing.T) {
+	expectRefusals(t, []refusal{
+		{SSDResNet34, Config{Classes: 0}, "0 classes"},
+		{SSDMobileNet, Config{Classes: 5, ImageSize: 4}, "tiny image"},
+	})
 }

@@ -3,73 +3,69 @@ package model
 import (
 	"fmt"
 
+	"mlperf/internal/dataset"
 	"mlperf/internal/nn"
 	"mlperf/internal/tensor"
 )
 
-// TranslatorConfig configures the miniature GNMT-style translator.
-type TranslatorConfig struct {
-	Vocab         int
-	EmbedDim      int
-	HiddenSize    int
-	EncoderLayers int
-	DecoderLayers int
-	MaxLen        int
-	Seed          uint64
-}
+// The translator's architecture: embedding width, LSTM hidden size, stacked
+// encoder and decoder layers, and the longest decoded sentence.
+const (
+	gnmtEmbedDim      = 16
+	gnmtHiddenSize    = 32
+	gnmtEncoderLayers = 2
+	gnmtDecoderLayers = 2
+	gnmtMaxLen        = 24
+)
 
-func (c *TranslatorConfig) normalize() error {
-	if c.Vocab < 8 {
-		return fmt.Errorf("model: translator vocabulary must hold at least 8 tokens, got %d", c.Vocab)
-	}
-	if c.EmbedDim <= 0 {
-		c.EmbedDim = 16
-	}
-	if c.HiddenSize <= 0 {
-		c.HiddenSize = 32
-	}
-	if c.EncoderLayers <= 0 {
-		c.EncoderLayers = 2
-	}
-	if c.DecoderLayers <= 0 {
-		c.DecoderLayers = 2
-	}
-	if c.MaxLen <= 0 {
-		c.MaxLen = 24
-	}
-	return nil
-}
-
-// GNMTMini is the miniature recurrent encoder–decoder translation model.
-type GNMTMini struct {
-	info      Info
-	net       *nn.Seq2Seq
-	footprint int // per-sentence step-state bytes; micro-batch derives live
-}
-
-// NewGNMTMini builds the translator.
-func NewGNMTMini(cfg TranslatorConfig) (*GNMTMini, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
+// newGNMT builds the miniature recurrent encoder–decoder translator. Each
+// micro-batch decodes as one greedy pass: every recurrent step runs the
+// active sentences through one GEMM per weight matrix, with finished
+// sentences compacting out of the batch (nn.Seq2Seq.TranslateBatch). Ragged
+// decoding lengths therefore cost only the steps they use, and a sentence's
+// tokens do not depend on its batch.
+func newGNMT(info Info, cfg Config) (*network, error) {
+	if cfg.Vocab < 8 {
+		return nil, fmt.Errorf("translator vocabulary must hold at least 8 tokens, got %d", cfg.Vocab)
 	}
 	net, err := nn.NewSeq2Seq("gnmt-mini", nn.Seq2SeqConfig{
 		SrcVocab: cfg.Vocab, DstVocab: cfg.Vocab,
-		EmbedDim: cfg.EmbedDim, HiddenSize: cfg.HiddenSize,
-		EncoderLayers: cfg.EncoderLayers, DecoderLayers: cfg.DecoderLayers,
-		MaxLen: cfg.MaxLen, Seed: cfg.Seed ^ 0x69273,
+		EmbedDim: gnmtEmbedDim, HiddenSize: gnmtHiddenSize,
+		EncoderLayers: gnmtEncoderLayers, DecoderLayers: gnmtDecoderLayers,
+		MaxLen: gnmtMaxLen, Seed: cfg.Seed ^ 0x69273,
 	})
 	if err != nil {
 		return nil, err
 	}
-	info, err := Describe(GNMT)
-	if err != nil {
-		return nil, err
-	}
 	info.Params = net.ParamCount()
-	info.OpsPerInput = net.OpsPerToken() * int64(cfg.MaxLen)
-	g := &GNMTMini{info: info, net: net}
-	g.footprint = g.stepFootprintBytes()
-	return g, nil
+	info.OpsPerInput = net.OpsPerToken() * gnmtMaxLen
+
+	weights := []*tensor.Tensor{net.SrcEmbed.Weights, net.DstEmbed.Weights}
+	for _, stack := range [][]*nn.LSTMCell{net.Encoder, net.Decoder} {
+		for _, c := range stack {
+			weights = append(weights, c.Wx, c.Wh, c.Bias)
+		}
+	}
+	weights = append(weights, net.Output.Weights, net.Output.Bias)
+
+	step := func(group []*dataset.Sample, out []Output, s *tensor.Scratch) error {
+		srcs := make([][]int, len(group))
+		for i, sample := range group {
+			if sample == nil || sample.Tokens == nil {
+				return fmt.Errorf("model %s: sample %d carries no tokens", info.Name, i)
+			}
+			srcs[i] = sample.Tokens
+		}
+		translated, err := net.TranslateBatch(srcs, s)
+		if err != nil {
+			return err
+		}
+		for i, tokens := range translated {
+			out[i] = Output{Kind: dataset.KindTranslation, Tokens: tokens}
+		}
+		return nil
+	}
+	return &network{info: info, kind: dataset.KindTranslation, weights: weights, footprint: stepFootprintBytes(net), step: step}, nil
 }
 
 // stepFootprintBytes estimates the per-sentence working set of one batched
@@ -78,29 +74,12 @@ func NewGNMTMini(cfg TranslatorConfig) (*GNMTMini, error) {
 // output logits and the attention score vector. The recurrent stack's
 // footprint is per step, not per layer-activation as in the CNNs, and it is
 // small — which is exactly why the translator batches deep.
-func (g *GNMTMini) stepFootprintBytes() int {
-	h := g.net.HiddenSize
-	e := g.net.DstEmbed.Dim
+func stepFootprintBytes(net *nn.Seq2Seq) int {
+	h := net.HiddenSize
+	e := net.DstEmbed.Dim
 	elems := e + h + (e + h) + // embedding, context, concatenated step input
-		len(g.net.Decoder)*(8*h+2*h) + // gate buffers (Wx·x, Wh·h) and new h/c per cell
-		g.net.DstEmbed.Vocab + // logits column
-		g.net.MaxLen // attention scores over the longest source
+		len(net.Decoder)*(8*h+2*h) + // gate buffers (Wx·x, Wh·h) and new h/c per cell
+		net.DstEmbed.Vocab + // logits column
+		net.MaxLen // attention scores over the longest source
 	return 4 * elems
-}
-
-// Info returns the model's metadata with Params and OpsPerInput filled in.
-func (g *GNMTMini) Info() Info { return g.info }
-
-// Weights implements WeightedModel.
-func (g *GNMTMini) Weights() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	out = append(out, g.net.SrcEmbed.Weights, g.net.DstEmbed.Weights)
-	for _, c := range g.net.Encoder {
-		out = append(out, c.Wx, c.Wh, c.Bias)
-	}
-	for _, c := range g.net.Decoder {
-		out = append(out, c.Wx, c.Wh, c.Bias)
-	}
-	out = append(out, g.net.Output.Weights, g.net.Output.Bias)
-	return out
 }

@@ -123,7 +123,7 @@ func TestZeroTensorQuantizes(t *testing.T) {
 }
 
 func TestModelQuantization(t *testing.T) {
-	m, err := model.NewMobileNetV1Mini(model.ClassifierConfig{Classes: 10, ImageSize: 16, Seed: 5})
+	m, err := model.New(model.MobileNetV1, model.Config{Classes: 10, ImageSize: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestQuantizationPerturbsModelOutputs(t *testing.T) {
 	// is built around. A model's outputs are its predictions
 	// (Engine.Predict); the detector's are continuous, so the perturbation is
 	// measured on the score of each image's strongest detection.
-	build := func() *model.SSDDetector {
-		m, err := model.NewSSDMobileNetMini(model.DetectorConfig{Classes: 5, ImageSize: 16, Seed: 21, ScoreThreshold: 0.01})
+	build := func() model.Model {
+		m, err := model.New(model.SSDMobileNet, model.Config{Classes: 5, ImageSize: 16, Seed: 21, ScoreThreshold: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestQuantizationPerturbsModelOutputs(t *testing.T) {
 		}
 		images[i] = &dataset.Sample{Index: i, Image: img}
 	}
-	topScores := func(m *model.SSDDetector) []float64 {
+	topScores := func(m model.Model) []float64 {
 		outs, err := m.Predict(images, nil)
 		if err != nil {
 			t.Fatal(err)

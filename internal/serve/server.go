@@ -4,11 +4,11 @@
 // queueing, serialization and connection concurrency on the measured path —
 // instead of an in-process function call.
 //
-// One Server hosts one or more named engines (the network pair of
-// internal/multitenant: several models behind one listener, each with its own
-// admission queue, dynamic batcher and worker pool), and each hosted model
-// owns the three mechanisms that bound achieved QPS in a real datacenter
-// submission (the phenomena the paper's Server scenario exists to measure):
+// One Server hosts one or more named engines (several models behind one
+// listener, each with its own admission queue, dynamic batcher and worker
+// pool), and each hosted model owns the three mechanisms that bound achieved
+// QPS in a real datacenter submission (the phenomena the paper's Server
+// scenario exists to measure):
 //
 //   - Admission control: a bounded FIFO queue with a configurable overload
 //     policy. RejectNewest turns away arrivals when the queue is full;

@@ -84,7 +84,10 @@ func (s LatencySummary) Quantile(p float64) (time.Duration, error) {
 	if len(s.Sorted) == 0 {
 		return 0, fmt.Errorf("stats: summary holds no samples")
 	}
-	return Percentile(s.Sorted, p)
+	if !(p > 0 && p <= 1) {
+		return 0, fmt.Errorf("stats: percentile %v outside (0,1]: %w", p, ErrInvalidProbability)
+	}
+	return NearestRank(s.Sorted, p), nil
 }
 
 // FractionOver returns the fraction of samples strictly greater than bound.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,6 +74,29 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.Mean != ms(50)+500*time.Microsecond {
 		t.Errorf("Mean = %v, want 50.5ms", s.Mean)
+	}
+}
+
+func TestLatencySummaryQuantile(t *testing.T) {
+	s, err := Summarize([]time.Duration{ms(40), ms(10), ms(30), ms(20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		p    float64
+		want time.Duration
+	}{{0.25, ms(10)}, {0.5, ms(20)}, {0.51, ms(30)}, {1, ms(40)}} {
+		if got, err := s.Quantile(c.p); err != nil || got != c.want {
+			t.Errorf("Quantile(%v) = %v, %v; want %v", c.p, got, err, c.want)
+		}
+	}
+	for _, p := range []float64{0, -0.5, 1.5} {
+		if _, err := s.Quantile(p); !errors.Is(err, ErrInvalidProbability) {
+			t.Errorf("Quantile(%v): err = %v, want ErrInvalidProbability", p, err)
+		}
+	}
+	if _, err := (LatencySummary{}).Quantile(0.5); err == nil {
+		t.Error("empty summary: expected error")
 	}
 }
 

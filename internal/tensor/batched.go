@@ -30,22 +30,6 @@ import (
 // package's tests). The equivalence tests here and in internal/nn and
 // internal/model assert this kernel by kernel and end to end.
 
-// SubView returns a view of the i-th slice along the first axis (e.g. sample
-// i of a batch-major tensor). The view shares storage with t.
-func (t *Tensor) SubView(i int) (*Tensor, error) {
-	if t.Rank() < 2 {
-		return nil, fmt.Errorf("tensor: SubView requires rank >= 2, got %v", t.shape)
-	}
-	if i < 0 || i >= t.shape[0] {
-		return nil, fmt.Errorf("tensor: SubView index %d out of range [0,%d)", i, t.shape[0])
-	}
-	sz := 1
-	for _, d := range t.shape[1:] {
-		sz *= d
-	}
-	return &Tensor{shape: t.shape[1:], data: t.data[i*sz : (i+1)*sz : (i+1)*sz]}, nil
-}
-
 // PackSample copies a CHW sample into position n of a channel-major
 // [C, N, H, W] batch.
 func PackSample(batch, sample *Tensor, n int) error {
@@ -317,22 +301,6 @@ func GlobalAvgPool2DBatchedInto(dst, input *Tensor) error {
 	area := float32(hw)
 	for p := 0; p < c*batch; p++ {
 		dst.data[p] = avgPlane(input.data[p*hw:(p+1)*hw], area)
-	}
-	return nil
-}
-
-// TransposeInto writes the transpose of a rank-2 src into dst (shape
-// reversed). dst must not alias src and is fully overwritten.
-func TransposeInto(dst, src *Tensor) error {
-	if src.Rank() != 2 || dst.Rank() != 2 || dst.shape[0] != src.shape[1] || dst.shape[1] != src.shape[0] {
-		return fmt.Errorf("tensor: TransposeInto wants reversed rank-2 shapes, got %v -> %v", src.shape, dst.shape)
-	}
-	r, c := src.shape[0], src.shape[1]
-	for i := 0; i < r; i++ {
-		row := src.data[i*c : i*c+c]
-		for j, v := range row {
-			dst.data[j*r+i] = v
-		}
 	}
 	return nil
 }

@@ -255,40 +255,3 @@ func TestGemmPanelingMatchesSerial(t *testing.T) {
 	}
 	requireKernelMatch(t, got, want, "paneled GEMM")
 }
-
-func TestSubViewSharesStorage(t *testing.T) {
-	batch := MustNew(3, 2, 2)
-	v, err := batch.SubView(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.Set(7, 1, 1)
-	if batch.At(1, 1, 1) != 7 {
-		t.Error("SubView does not alias parent storage")
-	}
-	if _, err := batch.SubView(3); err == nil {
-		t.Error("out-of-range SubView: expected error")
-	}
-	if _, err := MustNew(4).SubView(0); err == nil {
-		t.Error("rank-1 SubView: expected error")
-	}
-}
-
-func TestTransposeInto(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	src := randFilled(r, 5, 3)
-	dst := MustNew(3, 5)
-	if err := TransposeInto(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 3; j++ {
-			if src.At(i, j) != dst.At(j, i) {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-	if err := TransposeInto(MustNew(5, 3), src); err == nil {
-		t.Error("bad transpose shape: expected error")
-	}
-}
