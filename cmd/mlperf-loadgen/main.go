@@ -19,9 +19,7 @@
 // responses against the local ground truth). A comma-separated -addr fans the
 // load out over the replica set with least-in-flight routing; -model
 // addresses one named engine on a multi-model mlperf-serve -tasks listener.
-// In the Server scenario, -qps-step-after/-qps-step-to step the offered
-// Poisson rate mid-run (same seeded schedule) to exercise capacity
-// management under a load swing.
+// The Server scenario offers one seeded Poisson rate for the whole run.
 //
 // The Swarm scenario simulates a datacenter frontend's client population:
 //
@@ -63,8 +61,6 @@ func main() {
 		scale        = flag.Int("scale", 128, "divide the production query counts and duration by this factor (1 = full production run)")
 		samples      = flag.Int("samples", 128, "synthetic data-set size")
 		seed         = flag.Uint64("seed", 42, "model/data seed")
-		qpsStepAfter = flag.Duration("qps-step-after", 0, "step the Server scenario's offered QPS after this much scheduled time (0 = flat rate)")
-		qpsStepTo    = flag.Float64("qps-step-to", 0, "offered QPS after the step (with -qps-step-after)")
 		sessions     = flag.Int("sessions", 0, "Swarm scenario: simulated client sessions (0 = scenario default)")
 		sessionQPS   = flag.Float64("session-qps", 0, "Swarm scenario: per-session Poisson rate (0 = scenario default)")
 		sessionLife  = flag.Duration("session-lifetime", -1, "Swarm scenario: mean session lifetime before churn (0 disables churn; -1 = scenario default)")
@@ -147,10 +143,6 @@ func main() {
 	}
 
 	settings := harness.QuickSettings(spec, scenario, *scale)
-	if *qpsStepAfter > 0 {
-		settings.ServerQPSStepAfter = *qpsStepAfter
-		settings.ServerQPSStepTo = *qpsStepTo
-	}
 	if scenario == loadgen.Swarm {
 		if *sessions > 0 {
 			settings.SwarmSessions = *sessions

@@ -23,12 +23,10 @@
 // prints per-replica, per-model serving metrics (queue depth, batch-size
 // histogram, queue/service latency percentiles, rejects) as JSON.
 //
-// Capacity is dynamic: the sizing flags (-workers, -queue, -max-batch) are
-// applied through the live Resize path, -metrics-addr serves every replica's
-// counters in Prometheus text format at /metrics (consecutive ports, one per
-// replica), and -autosize attaches a capacity manager per replica that probes
-// the cgroup CPU/memory limits and grows or shrinks each pool from observed
-// load, its decisions exposed on the same scrape.
+// The sizing flags (-workers, -queue, -max-batch) fix each model's worker
+// pool, admission bound and batch cap at startup; they do not change while
+// the server runs. -metrics-addr serves every replica's counters in
+// Prometheus text format at /metrics (consecutive ports, one per replica).
 //
 // Observability rides the same listener: -pprof mounts net/http/pprof under
 // /debug/pprof/, and -trace N samples every Nth request's server-side stages
@@ -50,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"mlperf/internal/capacity"
 	"mlperf/internal/core"
 	"mlperf/internal/harness"
 	"mlperf/internal/serve"
@@ -72,7 +69,6 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 0, "dynamic batch cap (0 = the engine's derived micro-batch)")
 		batchWait = flag.Duration("batch-wait", 2*time.Millisecond, "how long to hold an under-full batch open")
 		metrics   = flag.String("metrics-addr", "", "Prometheus text endpoint address (replicas bind consecutive ports from it; empty = disabled)")
-		autosize  = flag.Bool("autosize", false, "attach a capacity manager per replica: probe cgroup limits, grow/shrink worker pools and queues against observed load")
 		calibrate = flag.Bool("calibrate", false, "measure this machine's GEMM throughput, fork overhead and L2 at startup and derive the kernel tuning knobs from the measurements")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the metrics listener (requires -metrics-addr)")
 		traceEach = flag.Int("trace", 0, "trace every Nth request through the request-path stages, plus every tail outlier (0 = tracing off)")
@@ -110,11 +106,6 @@ func main() {
 		named = true
 	}
 
-	// The worker/queue/batch flags are NOT baked into the server config:
-	// servers start on their derived defaults and the flags are applied
-	// through Resize below — the same live-reconfiguration path the capacity
-	// manager uses, so flag values show up as auditable resize events and a
-	// manager can later move what a flag set.
 	// One tracer is shared by every replica in the process: the ring and
 	// histograms are per model, so a merged dump still attributes spans
 	// correctly, and /debug/trace on any replica's metrics port exports the
@@ -127,7 +118,10 @@ func main() {
 		fatal(fmt.Errorf("-trace-out needs -trace to capture anything"))
 	}
 
-	cfg := serve.Config{Policy: overload, BatchWait: *batchWait, Tracer: tracer, EnablePprof: *pprofOn}
+	cfg := serve.Config{
+		Workers: *workers, QueueDepth: *queue, MaxBatch: *maxBatch,
+		Policy: overload, BatchWait: *batchWait, Tracer: tracer, EnablePprof: *pprofOn,
+	}
 	for _, name := range tasks {
 		name = strings.TrimSpace(name)
 		assembly, err := harness.BuildNative(core.Task(name), harness.BuildOptions{
@@ -169,10 +163,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	var (
-		servers  []*serve.Server
-		managers []*capacity.Manager
-	)
+	var servers []*serve.Server
 	for i := 0; i < *replicas; i++ {
 		cfg := cfg
 		cfg.Addr = addrs[i]
@@ -183,33 +174,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Apply the sizing flags through the live-reconfig path (recorded as
-		// resize events; a zero flag leaves the derived default in place).
-		if _, err := srv.Resize("", serve.ResizeRequest{
-			Workers: *workers, QueueDepth: *queue, MaxBatch: *maxBatch,
-			Reason: "startup-flag",
-		}); err != nil {
-			fatal(err)
-		}
-		if *autosize {
-			m := capacity.NewManager(srv, capacity.Config{
-				Interval: 250 * time.Millisecond,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, "replica %d "+format+"\n", append([]any{i}, args...)...)
-				},
-			})
-			managers = append(managers, m)
-			srv.OnScrape(m.WritePrometheus)
-		}
 		servers = append(servers, srv)
 		fmt.Printf("replica %d listening on %s\n", i, srv.Addr())
 		if ma := srv.MetricsAddr(); ma != "" {
 			fmt.Printf("replica %d metrics on http://%s/metrics\n", i, ma)
 		}
-	}
-	if *autosize {
-		env := capacity.DetectEnv()
-		fmt.Printf("capacity: %s max-workers=%d\n", env.String(), env.MaxWorkersSuggestion())
 	}
 	started := servers[0].Metrics()
 	fmt.Printf("replicas=%d models=%d workers=%d max-batch=%d queue=%d policy=%s batch-wait=%v\n",
@@ -225,9 +194,6 @@ func main() {
 	// cover every request the fleet ever admitted. A second signal skips the
 	// drain and kills the fleet where it stands.
 	fmt.Fprintln(os.Stderr, "mlperf-serve: draining (signal again to kill)")
-	for _, m := range managers {
-		m.Close()
-	}
 	done := make(chan struct{})
 	go func() {
 		for _, srv := range servers {

@@ -71,97 +71,10 @@ func CheckServing(ev ServingEvidence) ([]Finding, error) {
 	if ev.Recovery != nil {
 		findings = append(findings, checkRecovery(ev))
 	}
-	if capacityExercised(ev) {
-		findings = append(findings, checkCapacity(ev))
-	}
 	if ev.Traces != nil {
 		findings = append(findings, checkTraces(ev.Traces))
 	}
 	return findings, nil
-}
-
-// capacityExercised reports whether any replica recorded resize events.
-func capacityExercised(ev ServingEvidence) bool {
-	for _, s := range ev.Replicas {
-		if len(s.Resizes) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// checkCapacity reconciles the capacity decisions a run recorded: within
-// each replica, each (model, resource) event chain must be contiguous —
-// every event's From equals the previous event's To, so no resize went
-// unrecorded and none was recorded twice — limits must stay positive, event
-// times must be well-formed and ordered, and the chain's final To must match
-// the live limit the snapshot reports. A run that grew its pools under load
-// proves here that the audit saw every step of the growth.
-func checkCapacity(ev ServingEvidence) Finding {
-	total := 0
-	for ri, snap := range ev.Replicas {
-		type chain struct {
-			last    int
-			lastAt  int // index in snap.Resizes, for ordering detail
-			started bool
-		}
-		chains := map[string]*chain{}
-		for i, e := range snap.Resizes {
-			total++
-			if e.Resource == "" {
-				return Finding{Name: "serving-capacity", Pass: false,
-					Detail: fmt.Sprintf("replica %d resize event %d names no resource", ri, i)}
-			}
-			if e.Time.IsZero() {
-				return Finding{Name: "serving-capacity", Pass: false,
-					Detail: fmt.Sprintf("replica %d resize event %d (%s) has no timestamp", ri, i, e.Resource)}
-			}
-			if e.From <= 0 || e.To <= 0 {
-				return Finding{Name: "serving-capacity", Pass: false,
-					Detail: fmt.Sprintf("replica %d resize event %d (%s) moves %d -> %d: limits must stay positive", ri, i, e.Resource, e.From, e.To)}
-			}
-			if e.From == e.To {
-				return Finding{Name: "serving-capacity", Pass: false,
-					Detail: fmt.Sprintf("replica %d resize event %d (%s) records no change (%d -> %d)", ri, i, e.Resource, e.From, e.To)}
-			}
-			key := e.Model + "\x00" + e.Resource
-			c := chains[key]
-			if c == nil {
-				c = &chain{}
-				chains[key] = c
-			}
-			if c.started && e.From != c.last {
-				return Finding{Name: "serving-capacity", Pass: false,
-					Detail: fmt.Sprintf("replica %d model %q %s chain broken: event %d starts from %d but the previous event (index %d) ended at %d — a resize went unrecorded or was double-counted",
-						ri, e.Model, e.Resource, i, e.From, c.lastAt, c.last)}
-			}
-			c.last, c.lastAt, c.started = e.To, i, true
-		}
-		// A single-host snapshot's live limits must agree with where each
-		// chain landed. Merged snapshots sum workers and queue limits across
-		// inputs, so the identity only holds per unmerged replica.
-		if snap.Merged <= 1 {
-			check := func(resource string, live int) *Finding {
-				c := chains[snap.Model+"\x00"+resource]
-				if c == nil || !c.started || live == 0 || c.last == live {
-					return nil
-				}
-				return &Finding{Name: "serving-capacity", Pass: false,
-					Detail: fmt.Sprintf("replica %d %s chain ends at %d but the snapshot reports %d live", ri, resource, c.last, live)}
-			}
-			if f := check(serve.ResourceWorkers, snap.Workers); f != nil {
-				return *f
-			}
-			if f := check(serve.ResourceQueue, snap.QueueLimit); f != nil {
-				return *f
-			}
-			if f := check(serve.ResourceMaxBatch, snap.MaxBatch); f != nil {
-				return *f
-			}
-		}
-	}
-	return Finding{Name: "serving-capacity", Pass: true,
-		Detail: fmt.Sprintf("%d resize events across %d replicas: chains contiguous, limits positive, final limits match snapshots", total, len(ev.Replicas))}
 }
 
 // checkDropAccounting reconciles shed load across the wire: every reject or

@@ -108,14 +108,6 @@ type RemoteConfig struct {
 	// cross-process record. Nil disables tracing with
 	// zero per-request cost.
 	Tracer *trace.Tracer
-	// TolerateDown lets NewRemote succeed even when some replicas refuse
-	// their initial dial: the failed slots start dead, the replica starts
-	// down, and the redial supervisors own bringing it up — the same
-	// probe-gated rejoin a crashed replica goes through. This is what lets
-	// an autoscaled fleet configure standby replica slots that have no
-	// server behind them yet. Incompatible with DisableRecovery (a dead
-	// slot would stay dead forever); at least one replica must still dial.
-	TolerateDown bool
 }
 
 func (c *RemoteConfig) normalize() error {
@@ -238,12 +230,10 @@ type replica struct {
 	next  atomic.Uint64 // round-robin connection cursor
 
 	// window holds this replica's in-flight slots; its load doubles as the
-	// in-flight count the router's least-in-flight choice reads, and its
-	// capacity is live-resizable (Remote.SetMaxInFlight).
+	// in-flight count the router's least-in-flight choice reads.
 	window *flowWindow
 
-	down    atomic.Bool // no live connections; the router skips it
-	retired atomic.Bool // administratively out of routing (Remote.Retire)
+	down atomic.Bool // no live connections; the router skips it
 
 	// mu guards the lifecycle state below.
 	mu        sync.Mutex
@@ -350,81 +340,35 @@ func (r *Remote) dial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
 }
 
-// NewRemote dials every replica and returns the connected SUT client. With
-// TolerateDown set, replicas that refuse their initial dial start down (dead
-// slots under redial supervisors) instead of failing construction, as long
-// as at least one replica dialed.
+// NewRemote dials every replica and returns the connected SUT client. A
+// replica that refuses its initial dial fails construction.
 func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if cfg.TolerateDown && cfg.DisableRecovery {
-		return nil, fmt.Errorf("backend: TolerateDown needs recovery (a dead slot would stay dead forever)")
-	}
 	r := &Remote{cfg: cfg, stop: make(chan struct{}), mt: cfg.Tracer.Model(cfg.Model)}
-	// Build the whole structure before starting any reader: a connection that
+	// Dial every connection before starting any reader: a connection that
 	// dies instantly would otherwise race its fail() against construction.
-	var conns [][]net.Conn // conns[i][j] == nil marks a tolerated dead slot
-	closeAll := func() {
-		for _, cs := range conns {
-			for _, c := range cs {
-				if c != nil {
-					c.Close()
-				}
-			}
-		}
-	}
-	dialed := 0
+	var conns []net.Conn
 	for idx, addr := range cfg.Addrs {
-		rep := &replica{r: r, idx: idx, addr: addr, window: newFlowWindow(cfg.MaxInFlight)}
-		var raw []net.Conn
-		live := 0
+		rep := &replica{r: r, idx: idx, addr: addr, window: newFlowWindow(cfg.MaxInFlight), liveConns: cfg.Conns}
 		for i := 0; i < cfg.Conns; i++ {
 			c, err := r.dial(addr)
 			if err != nil {
-				if cfg.TolerateDown {
-					c = nil
-				} else {
-					closeAll()
-					for _, c := range raw {
-						if c != nil {
-							c.Close()
-						}
-					}
-					return nil, fmt.Errorf("backend: dialing replica %s: %w", addr, err)
+				for _, c := range conns {
+					c.Close()
 				}
-			} else {
-				live++
+				return nil, fmt.Errorf("backend: dialing replica %s: %w", addr, err)
 			}
-			raw = append(raw, c)
+			conns = append(conns, c)
 			rep.conns = append(rep.conns, &remoteConn{rep: rep, slot: i})
 		}
-		rep.liveConns = live
-		if live > 0 {
-			dialed++
-		} else {
-			rep.down.Store(true)
-			rep.downSince = time.Now()
-		}
-		conns = append(conns, raw)
 		r.replicas = append(r.replicas, rep)
 	}
-	if dialed == 0 {
-		closeAll()
-		return nil, fmt.Errorf("backend: dialing %s: no replica reachable", strings.Join(cfg.Addrs, ","))
-	}
-	for i, rep := range r.replicas {
-		for j, rc := range rep.conns {
-			if conns[i][j] != nil {
-				rc.install(conns[i][j])
-				continue
-			}
-			// Tolerated dead slot: mark it dead and hand it to a redial
-			// supervisor, which probes, installs and rejoins exactly as it
-			// would after a crash.
-			rc.dead = true
-			r.superWG.Add(1)
-			go rc.redial(0)
+	for _, rep := range r.replicas {
+		for _, rc := range rep.conns {
+			rc.install(conns[0])
+			conns = conns[1:]
 		}
 	}
 	return r, nil
@@ -459,11 +403,11 @@ func (r *Remote) IssueQuery(q *loadgen.Query) {
 	}()
 }
 
-// pick chooses the replica for the next request: the live, routable replica
-// with the fewest requests in flight (ties go to the lowest index). Retired
-// replicas are skipped while any alternative exists; when every replica is
-// down it returns the emptiest one anyway — its dead connections settle the
-// request as dropped, so the run terminates invalid instead of hanging.
+// pick chooses the replica for the next request: the live replica with the
+// fewest requests in flight (ties go to the lowest index). When every
+// replica is down it returns the emptiest one anyway — its dead connections
+// settle the request as dropped, so the run terminates invalid instead of
+// hanging.
 func (r *Remote) pick() *replica {
 	pickWhere := func(ok func(*replica) bool) *replica {
 		var best *replica
@@ -479,21 +423,16 @@ func (r *Remote) pick() *replica {
 		}
 		return best
 	}
-	if best := pickWhere(func(rep *replica) bool {
-		return !rep.down.Load() && !rep.retired.Load()
-	}); best != nil {
-		return best
-	}
-	if best := pickWhere(func(rep *replica) bool { return !rep.retired.Load() }); best != nil {
+	if best := pickWhere(func(rep *replica) bool { return !rep.down.Load() }); best != nil {
 		return best
 	}
 	return pickWhere(func(*replica) bool { return true })
 }
 
-// anyLive reports whether at least one routable replica is admitting traffic.
+// anyLive reports whether at least one replica is admitting traffic.
 func (r *Remote) anyLive() bool {
 	for _, rep := range r.replicas {
-		if !rep.down.Load() && !rep.retired.Load() {
+		if !rep.down.Load() {
 			return true
 		}
 	}
@@ -1269,9 +1208,6 @@ func (r *Remote) Close() error {
 			rc.mu.Lock()
 			c := rc.c
 			rc.mu.Unlock()
-			if c == nil {
-				continue
-			}
 			if err := c.Close(); err != nil && first == nil {
 				first = err
 			}

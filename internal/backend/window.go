@@ -1,18 +1,11 @@
 package backend
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// flowWindow is a replica's resizable in-flight window: a counting semaphore
-// whose capacity can move while acquirers are blocked on it. It replaces the
-// fixed-capacity channel the router used before live resizing existed —
-// acquire blocks while the window is full (the backpressure the LoadGen is
-// meant to observe), release wakes one waiter, and setLimit retunes the
-// capacity in place: growth wakes every waiter so the newly legal slots fill
-// immediately; shrink simply stops admitting until enough releases bring the
-// count under the new bound (in-flight requests are never cancelled).
+// flowWindow is a replica's in-flight window: a counting semaphore of fixed
+// capacity. acquire blocks while the window is full (the backpressure the
+// LoadGen is meant to observe), release wakes one waiter, and load is the
+// occupancy the router's least-in-flight choice reads.
 type flowWindow struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -49,83 +42,4 @@ func (w *flowWindow) load() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.used
-}
-
-// setLimit retunes the window capacity (floored at 1) and wakes every
-// waiter so they re-check against the new bound.
-func (w *flowWindow) setLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	w.mu.Lock()
-	w.limit = n
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// limitNow returns the current capacity.
-func (w *flowWindow) limitNow() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.limit
-}
-
-// SetMaxInFlight retunes every replica's in-flight window to n (floored at
-// 1) without disturbing requests already in flight — the client half of a
-// live capacity resize, paired with the server half (serve.Server.Resize).
-func (r *Remote) SetMaxInFlight(n int) {
-	for _, rep := range r.replicas {
-		rep.window.setLimit(n)
-	}
-}
-
-// InFlightLimit returns the current per-replica in-flight window capacity.
-func (r *Remote) InFlightLimit() int {
-	if len(r.replicas) == 0 {
-		return 0
-	}
-	return r.replicas[0].window.limitNow()
-}
-
-// Retire administratively removes replica i from routing: new requests skip
-// it even though its connections stay healthy. It is the client half of a
-// graceful replica retirement — call it before draining the server so no
-// request races the drain into a reject — and it refuses to retire the last
-// routable replica. Requests already in flight on the replica settle
-// normally.
-func (r *Remote) Retire(i int) error {
-	if i < 0 || i >= len(r.replicas) {
-		return fmt.Errorf("backend %s: no replica %d", r.cfg.Name, i)
-	}
-	routable := 0
-	for j, rep := range r.replicas {
-		if j != i && !rep.retired.Load() {
-			routable++
-		}
-	}
-	if routable == 0 {
-		return fmt.Errorf("backend %s: cannot retire replica %d: it is the last routable replica", r.cfg.Name, i)
-	}
-	r.replicas[i].retired.Store(true)
-	return nil
-}
-
-// Readmit reverses Retire: replica i becomes routable again as soon as its
-// connections are live (a replica readmitted while down is picked up by its
-// redial supervisors' probe handshake and reopen barrier, exactly like a
-// crashed replica rejoining).
-func (r *Remote) Readmit(i int) error {
-	if i < 0 || i >= len(r.replicas) {
-		return fmt.Errorf("backend %s: no replica %d", r.cfg.Name, i)
-	}
-	r.replicas[i].retired.Store(false)
-	return nil
-}
-
-// Retired reports whether replica i is administratively out of routing.
-func (r *Remote) Retired(i int) bool {
-	if i < 0 || i >= len(r.replicas) {
-		return false
-	}
-	return r.replicas[i].retired.Load()
 }

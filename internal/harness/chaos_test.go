@@ -225,113 +225,6 @@ func TestChaosConnFaultSoak(t *testing.T) {
 		dep.Remote.TransportDrops(), res.ResponsesDropped)
 }
 
-// TestChaosResizeSoak runs live pool resizes concurrently with a mid-run
-// replica crash and restart: replica 1's worker pool oscillates every couple
-// of milliseconds while replica 0 dies and rejoins under streaming load. The
-// run must terminate with every drop accounted, and the audit must reconcile
-// both the recovery record and replica 1's resize-event chain (contiguous,
-// ending at the live limits). The CI race job runs this with -race, making it
-// the kill-mid-resize data-race probe.
-func TestChaosResizeSoak(t *testing.T) {
-	a, dep := chaosDeployment(t, nil, backend.RemoteConfig{MaxInFlight: 32})
-
-	settings := QuickSettings(a.Spec, loadgen.Offline, 1024)
-	settings.MinDuration = 0
-	settings.MinSampleCount = 4096
-
-	type runOut struct {
-		res *loadgen.Result
-		err error
-	}
-	done := make(chan runOut, 1)
-	go func() {
-		res, err := loadgen.StartTest(dep.Assembly.SUT, dep.Assembly.QSL, settings)
-		done <- runOut{res, err}
-	}()
-
-	// Oscillate replica 1's worker pool for the whole run. Only the replica
-	// that never crashes is resized: a crash discards the server's event
-	// chain while the client's banked epoch keeps it, and reconciling
-	// cross-epoch chains is deliberately out of scope for the audit.
-	stopResizer := make(chan struct{})
-	resizerDone := make(chan struct{})
-	go func() {
-		defer close(resizerDone)
-		workers := 4
-		for {
-			select {
-			case <-stopResizer:
-				return
-			default:
-			}
-			if _, err := dep.Replica(1).Resize("", serve.ResizeRequest{Workers: workers, Reason: "soak"}); err != nil {
-				t.Errorf("mid-run resize: %v", err)
-				return
-			}
-			workers = 6 - workers // 2 <-> 4
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	killed := false
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if dep.Replica(0).Metrics().Completed > 0 {
-			if err := dep.KillReplica(0); err != nil {
-				t.Fatalf("killing replica 0: %v", err)
-			}
-			killed = true
-			break
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-	if !killed {
-		t.Fatal("replica 0 never served anything to kill")
-	}
-	time.Sleep(10 * time.Millisecond)
-	if err := dep.RestartReplica(0); err != nil {
-		t.Fatal(err)
-	}
-
-	out := <-done
-	close(stopResizer)
-	<-resizerDone
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	res := out.res
-	dep.Remote.Wait()
-
-	accounted := dep.Remote.Rejected() + dep.Remote.Expired() + dep.Remote.TransportDrops()
-	if int64(res.ResponsesDropped) != accounted {
-		t.Errorf("run dropped %d responses; client accounts for %d", res.ResponsesDropped, accounted)
-	}
-	if res.SamplesCompleted != res.SamplesIssued {
-		t.Errorf("soak hung work: %d of %d samples completed", res.SamplesCompleted, res.SamplesIssued)
-	}
-
-	snap := dep.Replica(1).Metrics()
-	if len(snap.Resizes) < 4 {
-		t.Fatalf("resizer recorded only %d events", len(snap.Resizes))
-	}
-	findings, err := audit.CheckServing(servingEvidence(t, dep, res, settings))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawCapacity := false
-	for _, f := range findings {
-		if f.Name == "serving-capacity" {
-			sawCapacity = true
-		}
-		if !f.Pass {
-			t.Errorf("audit %s failed: %s", f.Name, f.Detail)
-		}
-	}
-	if !sawCapacity {
-		t.Error("resize soak produced no serving-capacity finding")
-	}
-}
-
 // TestChaosDrainRefusesReadmission pins the drain/probe interlock: when a
 // crashed replica's address comes back as a DRAINING server, the client's
 // redial supervisor connects, probes, reads ProbeDraining and keeps the

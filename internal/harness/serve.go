@@ -18,13 +18,6 @@ type ServeOptions struct {
 	// over all of them with least-in-flight routing — outputs stay
 	// bit-identical because the replicas are identical by construction.
 	Replicas int
-	// Standby adds replica slots that are configured but not serving: each
-	// binds once to learn its loopback address, then shuts down, and the
-	// client (forced into TolerateDown mode) starts it as a down, retired
-	// slot whose redial supervisors wait for a server to appear.
-	// SpawnReplica — or the capacity autoscaler — brings a standby slot
-	// into service; until then it costs one goroutine and no sockets.
-	Standby int
 	// Server configures each serve.Server. Engine and Store are filled in
 	// from the assembly when unset. Addr must stay empty when Replicas > 1
 	// (each replica binds its own kernel-assigned loopback port).
@@ -64,25 +57,10 @@ type LoopbackDeployment struct {
 	// original address.
 	scfg  serve.Config
 	addrs []string
-	// active[i] tracks whether slot i is administratively in service
-	// (standby and retired slots are not). Guarded by mu.
-	active []bool
-	// closers stops capacity managers and autoscalers attached to the
-	// deployment, run first by Close. Guarded by mu.
-	closers []func()
 }
 
-// Close stops any attached capacity managers and autoscalers, disconnects
-// the client, and shuts every replica down.
+// Close disconnects the client and shuts every replica down.
 func (d *LoopbackDeployment) Close() error {
-	d.mu.Lock()
-	var closers []func()
-	closers = append(closers, d.closers...)
-	d.closers = nil
-	d.mu.Unlock()
-	for _, stop := range closers {
-		stop()
-	}
 	cerr := d.Remote.Close()
 	d.mu.Lock()
 	servers := append([]*serve.Server(nil), d.Servers...)
@@ -191,21 +169,16 @@ func (a *Assembly) ServeLoopback(opts ServeOptions) (*LoopbackDeployment, error)
 		scfg.WrapListener = opts.Chaos.Listener
 	}
 
-	if opts.Standby < 0 {
-		opts.Standby = 0
-	}
-
 	var (
 		servers []*serve.Server
 		addrs   []string
-		active  []bool
 	)
 	closeAll := func() {
 		for _, srv := range servers {
 			srv.Close()
 		}
 	}
-	for i := 0; i < opts.Replicas+opts.Standby; i++ {
+	for i := 0; i < opts.Replicas; i++ {
 		srv, err := serve.New(scfg)
 		if err != nil {
 			closeAll()
@@ -213,13 +186,6 @@ func (a *Assembly) ServeLoopback(opts ServeOptions) (*LoopbackDeployment, error)
 		}
 		servers = append(servers, srv)
 		addrs = append(addrs, srv.Addr())
-		standby := i >= opts.Replicas
-		active = append(active, !standby)
-		if standby {
-			// A standby slot only existed to learn its address; shut it down
-			// so the slot starts down and the client's supervisors own it.
-			srv.Close()
-		}
 	}
 
 	rcfg := opts.Client
@@ -231,20 +197,10 @@ func (a *Assembly) ServeLoopback(opts ServeOptions) (*LoopbackDeployment, error)
 	if opts.Chaos != nil && rcfg.Dialer == nil {
 		rcfg.Dialer = opts.Chaos.Dialer(nil)
 	}
-	if opts.Standby > 0 {
-		rcfg.TolerateDown = true
-	}
 	remote, err := backend.NewRemote(rcfg)
 	if err != nil {
 		closeAll()
 		return nil, err
-	}
-	for i := opts.Replicas; i < opts.Replicas+opts.Standby; i++ {
-		if err := remote.Retire(i); err != nil {
-			remote.Close()
-			closeAll()
-			return nil, err
-		}
 	}
 	derived := *a
 	derived.SUT = remote
@@ -256,6 +212,5 @@ func (a *Assembly) ServeLoopback(opts ServeOptions) (*LoopbackDeployment, error)
 		Remote:   remote,
 		scfg:     scfg,
 		addrs:    addrs,
-		active:   active,
 	}, nil
 }

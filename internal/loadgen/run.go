@@ -350,37 +350,11 @@ func (r *activeRun) runSingleStream() error {
 	return nil
 }
 
-// steppedGaps returns the Server scenario's arrival-gap source: Poisson gaps
-// at ServerTargetQPS, switching to ServerQPSStepTo once the schedule passes
-// ServerQPSStepAfter. One seeded RNG draws both segments, so the full stepped
-// schedule is a pure function of ScheduleSeed — though how many of its
-// arrivals a run issues still depends on when the wall clock crosses
-// MinDuration.
-func steppedGaps(s TestSettings) (func(offset time.Duration) (time.Duration, error), error) {
-	rng := stats.NewRNG(s.ScheduleSeed)
-	process, err := stats.NewPoissonProcess(rng, s.ServerTargetQPS)
-	if err != nil {
-		return nil, err
-	}
-	stepAt := s.ServerQPSStepAfter
-	return func(offset time.Duration) (time.Duration, error) {
-		if stepAt > 0 && offset >= stepAt {
-			stepped, err := stats.NewPoissonProcess(rng, s.ServerQPSStepTo)
-			if err != nil {
-				return 0, err
-			}
-			process = stepped
-			stepAt = 0
-		}
-		return process.NextGap(), nil
-	}, nil
-}
-
 // runServer issues single-sample queries at Poisson arrival times
-// (Figure 4, third panel). With ServerQPSStepAfter set, the arrival rate
-// steps to ServerQPSStepTo once the schedule passes that offset.
+// (Figure 4, third panel): one rate, ServerTargetQPS, for the whole run, with
+// the gaps drawn from an RNG seeded by ScheduleSeed.
 func (r *activeRun) runServer() error {
-	nextGap, err := steppedGaps(r.settings)
+	process, err := stats.NewPoissonProcess(stats.NewRNG(r.settings.ScheduleSeed), r.settings.ServerTargetQPS)
 	if err != nil {
 		return err
 	}
@@ -388,11 +362,7 @@ func (r *activeRun) runServer() error {
 	if r.settings.Mode == AccuracyMode {
 		var offset time.Duration
 		for _, idx := range r.accuracyIndices() {
-			gap, err := nextGap(offset)
-			if err != nil {
-				return err
-			}
-			offset += gap
+			offset += process.NextGap()
 			r.waitUntil(offset)
 			q := r.newQuery([]int{idx}, offset)
 			r.issue(q, nil)
@@ -405,11 +375,7 @@ func (r *activeRun) runServer() error {
 	issued := 0
 	var offset time.Duration
 	for r.shouldContinue(issued, time.Since(r.start)) {
-		gap, err := nextGap(offset)
-		if err != nil {
-			return err
-		}
-		offset += gap
+		offset += process.NextGap()
 		r.waitUntil(offset)
 		q := r.newQuery(r.nextIndices(1), offset)
 		r.issue(q, nil)

@@ -3,6 +3,8 @@ package loadgen
 import (
 	"testing"
 	"time"
+
+	"mlperf/internal/stats"
 )
 
 // fastSettings returns scenario settings scaled down so tests complete in
@@ -149,6 +151,47 @@ func TestServerScenarioMeetsLatencyBound(t *testing.T) {
 	}
 	if !res.Valid {
 		t.Errorf("run invalid: %v", res.ValidityMessages)
+	}
+}
+
+// TestServerScheduleDeterministic: two accuracy-mode Server runs with one
+// ScheduleSeed record identical Query.Scheduled offsets, and those offsets
+// are exactly the cumulative gaps of a Poisson process at ServerTargetQPS
+// seeded by ScheduleSeed — the whole arrival schedule is a pure function of
+// the seed and the rate.
+func TestServerScheduleDeterministic(t *testing.T) {
+	const seed = 11
+	settings := fastSettings(Server)
+	settings.Mode = AccuracyMode
+	settings.ScheduleSeed = seed
+	runs := make([][]time.Duration, 2)
+	for i := range runs {
+		sut := newFakeSUT(0, true)
+		if _, err := StartTest(sut, newFakeQSL(40, 8), settings); err != nil {
+			t.Fatal(err)
+		}
+		sut.mu.Lock()
+		for _, q := range sut.queries {
+			runs[i] = append(runs[i], q.Scheduled)
+		}
+		sut.mu.Unlock()
+	}
+	if len(runs[0]) != 40 || len(runs[1]) != 40 {
+		t.Fatalf("accuracy runs issued %d and %d queries, want 40 each", len(runs[0]), len(runs[1]))
+	}
+	process, err := stats.NewPoissonProcess(stats.NewRNG(seed), settings.ServerTargetQPS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want time.Duration
+	for j := range runs[0] {
+		want += process.NextGap()
+		if runs[0][j] != runs[1][j] {
+			t.Fatalf("same seed diverged at arrival %d: %v vs %v", j, runs[0][j], runs[1][j])
+		}
+		if runs[0][j] != want {
+			t.Fatalf("arrival %d scheduled at %v, want cumulative Poisson gap %v", j, runs[0][j], want)
+		}
 	}
 }
 

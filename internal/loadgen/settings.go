@@ -64,17 +64,9 @@ type TestSettings struct {
 	// same mechanism submitters use to satisfy the 60-second minimum run time.
 	OfflineExpectedQPS float64
 
-	// ServerTargetQPS is the Poisson arrival rate for the server scenario.
+	// ServerTargetQPS is the Poisson arrival rate for the server scenario,
+	// fixed for the whole run; ScheduleSeed seeds the arrival gaps.
 	ServerTargetQPS float64
-	// ServerQPSStepAfter and ServerQPSStepTo, when both set, step the offered
-	// load mid-run: after ServerQPSStepAfter of scheduled time the Poisson
-	// rate becomes ServerQPSStepTo (the same RNG keeps drawing, so a run's
-	// arrival schedule stays deterministic under ScheduleSeed). This models a
-	// production load shift — the stimulus a capacity manager must absorb for
-	// the run to stay valid — rather than anything in the MLPerf rules, which
-	// fix the rate for a whole run.
-	ServerQPSStepAfter time.Duration
-	ServerQPSStepTo    float64
 	// ServerTargetLatency is the per-query latency bound in the server
 	// scenario (Table III).
 	ServerTargetLatency time.Duration
@@ -256,12 +248,6 @@ func (ts TestSettings) Validate() error {
 		}
 		if ts.ServerLatencyPercentile <= 0 || ts.ServerLatencyPercentile >= 1 {
 			return fmt.Errorf("loadgen: ServerLatencyPercentile %v outside (0,1)", ts.ServerLatencyPercentile)
-		}
-		if ts.ServerQPSStepAfter < 0 {
-			return fmt.Errorf("loadgen: ServerQPSStepAfter must be non-negative, got %v", ts.ServerQPSStepAfter)
-		}
-		if ts.ServerQPSStepAfter > 0 && ts.ServerQPSStepTo <= 0 {
-			return fmt.Errorf("loadgen: ServerQPSStepTo must be positive when ServerQPSStepAfter is set, got %v", ts.ServerQPSStepTo)
 		}
 	case MultiStream:
 		if ts.MultiStreamSamplesPerQuery <= 0 {

@@ -33,8 +33,6 @@ type serverMetrics struct {
 
 	batchCounts []uint64 // len(batchBuckets)+1, last bucket = overflow
 
-	resizes []ResizeEvent
-
 	queue   latencyWindow
 	service latencyWindow
 
@@ -136,13 +134,6 @@ func (m *serverMetrics) observeBatch(size int) {
 	m.mu.Unlock()
 }
 
-// addResizes records applied resize events in decision order.
-func (m *serverMetrics) addResizes(events []ResizeEvent) {
-	m.mu.Lock()
-	m.resizes = append(m.resizes, events...)
-	m.mu.Unlock()
-}
-
 // observeService records one served request's queue and service latencies.
 func (m *serverMetrics) observeService(queued, service time.Duration) {
 	m.mu.Lock()
@@ -212,34 +203,6 @@ func (r *RecoveryStats) merge(o *RecoveryStats) {
 	r.TransportDrops += o.TransportDrops
 }
 
-// Resizable resources named by ResizeEvent.Resource.
-const (
-	// ResourceWorkers is a model's inference worker-pool size.
-	ResourceWorkers = "workers"
-	// ResourceQueue is a model's admission-queue bound.
-	ResourceQueue = "queue"
-	// ResourceMaxBatch is a model's dynamic-batch cap.
-	ResourceMaxBatch = "max_batch"
-	// ResourceReplicas is a fleet's live replica count (recorded by the
-	// capacity autoscaler, not by individual servers).
-	ResourceReplicas = "replicas"
-)
-
-// ResizeEvent records one applied live-limit change: which model's resource
-// moved from what to what, when, and why. Servers record every Resize they
-// apply; the events ride in Snapshot so external scrapers and the audit see
-// the same capacity decisions the serving path acted on. Within one model and
-// resource the events chain: each event's From equals the previous event's To
-// (the audit's serving-capacity check verifies exactly this).
-type ResizeEvent struct {
-	Time     time.Time `json:"time"`
-	Model    string    `json:"model,omitempty"`
-	Resource string    `json:"resource"`
-	From     int       `json:"from"`
-	To       int       `json:"to"`
-	Reason   string    `json:"reason,omitempty"`
-}
-
 // BatchBucket is one batch-size histogram bucket in a Snapshot.
 type BatchBucket struct {
 	// Le is the bucket's inclusive upper bound; 0 marks the unbounded
@@ -292,17 +255,12 @@ type Snapshot struct {
 	QueueP99   time.Duration `json:"queue_p99_ns"`
 	ServiceP50 time.Duration `json:"service_p50_ns"`
 	ServiceP99 time.Duration `json:"service_p99_ns"`
-	// Workers and MaxBatch are the model's live limits at snapshot time (the
-	// configured values until a Resize moves them).
+	// Workers and MaxBatch are the model's configured limits.
 	Workers  int `json:"workers"`
 	MaxBatch int `json:"max_batch"`
-	// QueueLimit is the admission queue's live bound at snapshot time (merged
-	// snapshots sum it, like QueueDepth).
+	// QueueLimit is the admission queue's configured bound (merged snapshots
+	// sum it, like QueueDepth).
 	QueueLimit int `json:"queue_limit,omitempty"`
-	// Resizes lists every live-limit change applied to the model so far, in
-	// decision order. Merged snapshots concatenate them (each input's events
-	// are copied, never aliased).
-	Resizes []ResizeEvent `json:"resizes,omitempty"`
 	// Recovery carries the client-observed fault-tolerance record (down/up
 	// intervals, rejoins, redials, failover retries). backend.Remote
 	// populates it on the snapshots it returns; snapshots taken server-side
@@ -340,9 +298,6 @@ func (m *serverMetrics) snapshot(queueDepth, workers, maxBatch, queueLimit int) 
 		MaxBatch:   maxBatch,
 		QueueLimit: queueLimit,
 	}
-	if len(m.resizes) > 0 {
-		s.Resizes = append([]ResizeEvent(nil), m.resizes...)
-	}
 	s.BatchHistogram = make([]BatchBucket, 0, len(m.batchCounts))
 	for i, count := range m.batchCounts {
 		bucket := BatchBucket{Count: count}
@@ -364,10 +319,8 @@ func (m *serverMetrics) snapshot(queueDepth, workers, maxBatch, queueLimit int) 
 // aggregate view: counters, queue depths/limits and batch histograms sum;
 // worker counts sum (total service parallelism); MaxBatch takes the largest;
 // latency percentiles take the worst (max) across inputs — the conservative
-// merge, since a latency bound must hold on every shard. Resize events
-// concatenate (copied, never aliased with the inputs), so a fleet that
-// changed size or limits mid-run folds every capacity decision into the
-// merged view exactly once. An empty input yields the zero Snapshot.
+// merge, since a latency bound must hold on every shard. An empty input
+// yields the zero Snapshot.
 func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	var out Snapshot
 	if len(snaps) == 0 {
@@ -382,7 +335,6 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	for _, s := range snaps {
 		out.QueueDepth += s.QueueDepth
 		out.QueueLimit += s.QueueLimit
-		out.Resizes = append(out.Resizes, s.Resizes...)
 		out.Admitted += s.Admitted
 		out.Completed += s.Completed
 		out.Rejected += s.Rejected

@@ -7,10 +7,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mlperf/internal/tensor"
@@ -25,19 +23,15 @@ import (
 // client and the conformance audit all read the same counters. Counters use
 // *_total names, the dispatched-batch-size histogram follows the Prometheus
 // histogram convention (cumulative le buckets plus a _count), latency
-// percentiles are exposed as summary families with quantile labels, and
-// every applied resize is visible both as a counter (resize_events_total)
-// and as the current workers/queue_limit/max_batch gauges it moved. Go
-// runtime health families (heap, GC pauses, goroutines) and — when tracing
+// percentiles are exposed as summary families with quantile labels, and the
+// configured workers/queue_limit/max_batch limits are gauges. Go runtime
+// health families (heap, GC pauses, goroutines) and — when tracing
 // is enabled — the per-stage trace histograms ride the same scrape.
 
 // scrapeServer is the optional HTTP listener behind Config.MetricsAddr.
 type scrapeServer struct {
 	ln  net.Listener
 	srv *http.Server
-
-	mu    sync.Mutex
-	extra []func(io.Writer)
 }
 
 func newScrapeServer(addr string, s *Server, enablePprof bool) (*scrapeServer, error) {
@@ -50,13 +44,6 @@ func newScrapeServer(addr string, s *Server, enablePprof bool) (*scrapeServer, e
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.WritePrometheus(w)
-		sc.mu.Lock()
-		var extra []func(io.Writer)
-		extra = append(extra, sc.extra...)
-		sc.mu.Unlock()
-		for _, f := range extra {
-			f(w)
-		}
 	})
 	if s.tracer != nil {
 		// A Chrome trace-event dump of the retained records; save the body
@@ -82,12 +69,6 @@ func newScrapeServer(addr string, s *Server, enablePprof bool) (*scrapeServer, e
 }
 
 func (sc *scrapeServer) addr() string { return sc.ln.Addr().String() }
-
-func (sc *scrapeServer) register(f func(io.Writer)) {
-	sc.mu.Lock()
-	sc.extra = append(sc.extra, f)
-	sc.mu.Unlock()
-}
 
 func (sc *scrapeServer) close() { sc.srv.Close() }
 
@@ -217,16 +198,14 @@ func WriteSnapshotsPrometheus(w io.Writer, models []string, snaps []Snapshot) {
 		func(s Snapshot) uint64 { return s.Errors })
 	counter("mlperf_serve_flushes_total", "End-of-series flushes observed.",
 		func(s Snapshot) uint64 { return s.Flushes })
-	counter("mlperf_serve_resize_events_total", "Live-limit changes applied so far.",
-		func(s Snapshot) uint64 { return uint64(len(s.Resizes)) })
 
 	gauge("mlperf_serve_queue_depth", "Admission queue population at scrape time.",
 		func(s Snapshot) float64 { return float64(s.QueueDepth) })
-	gauge("mlperf_serve_queue_limit", "Live admission queue bound.",
+	gauge("mlperf_serve_queue_limit", "Configured admission queue bound.",
 		func(s Snapshot) float64 { return float64(s.QueueLimit) })
-	gauge("mlperf_serve_workers", "Live inference worker-pool size.",
+	gauge("mlperf_serve_workers", "Configured inference worker-pool size.",
 		func(s Snapshot) float64 { return float64(s.Workers) })
-	gauge("mlperf_serve_max_batch", "Live dynamic-batch cap.",
+	gauge("mlperf_serve_max_batch", "Configured dynamic-batch cap.",
 		func(s Snapshot) float64 { return float64(s.MaxBatch) })
 
 	promFamily(w, "mlperf_serve_queue_latency_seconds", "summary",
@@ -255,41 +234,6 @@ func WriteSnapshotsPrometheus(w io.Writer, models []string, snaps []Snapshot) {
 				promQuote(models[i]), le, cum)
 		}
 		fmt.Fprintf(w, "mlperf_serve_batch_size_count{model=%s} %d\n", promQuote(models[i]), cum)
-	}
-}
-
-// WriteResizesPrometheus renders resize events as per-resource decision
-// counters and last-applied-value gauges, so a scraper that cannot ingest the
-// JSON event list still sees each capacity decision's direction and landing
-// point.
-func WriteResizesPrometheus(w io.Writer, prefix string, events []ResizeEvent) {
-	type key struct{ model, resource string }
-	counts := make(map[key]int)
-	last := make(map[key]int)
-	var keys []key
-	for _, e := range events {
-		k := key{promModelLabel(e.Model), e.Resource}
-		if counts[k] == 0 {
-			keys = append(keys, k)
-		}
-		counts[k]++
-		last[k] = e.To
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].model != keys[j].model {
-			return keys[i].model < keys[j].model
-		}
-		return keys[i].resource < keys[j].resource
-	})
-	promFamily(w, prefix+"_resizes_total", "counter", "Resize decisions applied, by resource.")
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s_resizes_total{model=%s,resource=%q} %d\n",
-			prefix, promQuote(k.model), k.resource, counts[k])
-	}
-	promFamily(w, prefix+"_resize_last", "gauge", "Last applied value per resized resource.")
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s_resize_last{model=%s,resource=%q} %d\n",
-			prefix, promQuote(k.model), k.resource, last[k])
 	}
 }
 

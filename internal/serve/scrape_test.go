@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mlperf/internal/tensor"
 	"mlperf/internal/trace"
 )
 
@@ -383,4 +385,137 @@ func TestScrapeWellFormed(t *testing.T) {
 	if len(byName["mlperf_runtime_gc_pause_seconds_count"]) != 1 {
 		t.Errorf("gc pause summary missing its _count")
 	}
+}
+
+// promValues parses a Prometheus text page into metric{labels} -> value.
+func promValues(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("unparseable sample line %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable value in %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestPrometheusEndpointMatchesWireMetrics drives traffic, fetches the
+// metrics snapshot over the wire protocol, scrapes the HTTP endpoint, and
+// asserts the scraped counters equal the wire-fetched ones — the external
+// scraper and the conformance audit must see the same numbers.
+func TestPrometheusEndpointMatchesWireMetrics(t *testing.T) {
+	s := newTestServer(t, Config{
+		Workers: 2, MaxBatch: 2, BatchWait: time.Millisecond,
+		QueueDepth: 8, MetricsAddr: "127.0.0.1:0",
+	})
+	if s.MetricsAddr() == "" {
+		t.Fatal("metrics endpoint not bound")
+	}
+	tc := dialTest(t, s.Addr())
+	for i := 0; i < 10; i++ {
+		tc.predict(uint64(i+1), i, time.Time{})
+	}
+	tc.read(10)
+
+	// Wire-fetched snapshot (the same frames backend.Remote uses).
+	tc.mu.Lock()
+	err := WriteMetricsRequest(tc.c, 42, "")
+	tc.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	frame, err := ReadClientFrame(tc.r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire Snapshot
+	if err := json.Unmarshal(frame.MetricsJSON, &wire); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + s.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+		t.Errorf("content type %q lacks exposition version", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := promValues(t, string(body))
+
+	for name, want := range map[string]uint64{
+		`mlperf_serve_admitted_total{model="default"}`:  wire.Admitted,
+		`mlperf_serve_completed_total{model="default"}`: wire.Completed,
+		`mlperf_serve_rejected_total{model="default"}`:  wire.Rejected,
+		`mlperf_serve_expired_total{model="default"}`:   wire.Expired,
+		`mlperf_serve_errors_total{model="default"}`:    wire.Errors,
+	} {
+		got, ok := vals[name]
+		if !ok {
+			t.Errorf("scrape lacks %s\n%s", name, body)
+			continue
+		}
+		if uint64(got) != want {
+			t.Errorf("%s = %v, scraped vs wire %d", name, got, want)
+		}
+	}
+	for name, want := range map[string]int{
+		`mlperf_serve_workers{model="default"}`:     wire.Workers,
+		`mlperf_serve_queue_limit{model="default"}`: wire.QueueLimit,
+		`mlperf_serve_max_batch{model="default"}`:   wire.MaxBatch,
+	} {
+		if got := vals[name]; int(got) != want {
+			t.Errorf("%s = %v, want %d", name, got, want)
+		}
+	}
+	// Histogram buckets must be cumulative and end at the wire total.
+	var batches uint64
+	for _, b := range wire.BatchHistogram {
+		batches += b.Count
+	}
+	if got := vals[`mlperf_serve_batch_size_count{model="default"}`]; uint64(got) != batches {
+		t.Errorf("batch_size_count %v, wire says %d", got, batches)
+	}
+	if got := vals[`mlperf_serve_batch_size_bucket{model="default",le="+Inf"}`]; uint64(got) != batches {
+		t.Errorf("+Inf bucket %v, want cumulative total %d", got, batches)
+	}
+
+	// The kernel configuration rides both channels: the wire snapshot carries
+	// it as a struct, the scrape as mlperf_kernel_* families, and they must
+	// agree with the live tensor dispatch state.
+	kc := tensor.CurrentKernelConfig()
+	if wire.Kernel == nil {
+		t.Fatal("wire snapshot lacks kernel config")
+	}
+	if *wire.Kernel != kc {
+		t.Errorf("wire kernel config %+v, want %+v", *wire.Kernel, kc)
+	}
+	if got, ok := vals[`mlperf_kernel_info{simd="`+kc.SIMD+`"}`]; !ok || got != 1 {
+		t.Errorf("scrape lacks mlperf_kernel_info{simd=%q}\n%s", kc.SIMD, body)
+	}
+	if got := vals["mlperf_kernel_flop_threshold"]; int(got) != kc.FlopThreshold {
+		t.Errorf("mlperf_kernel_flop_threshold = %v, want %d", got, kc.FlopThreshold)
+	}
+	if got := vals["mlperf_kernel_panel_bytes"]; int(got) != kc.PanelBytes {
+		t.Errorf("mlperf_kernel_panel_bytes = %v, want %d", got, kc.PanelBytes)
+	}
+	if _, ok := vals["mlperf_kernel_calibrated"]; !ok {
+		t.Errorf("scrape lacks mlperf_kernel_calibrated")
+	}
+
 }

@@ -50,7 +50,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -149,7 +148,10 @@ type Config struct {
 	// kernel-assigned port — read the bound address back with Addr).
 	Addr string
 	// Workers is the per-model inference worker count; it defaults to
-	// runtime.GOMAXPROCS(0) floored at 2, matching backend.Native.
+	// runtime.GOMAXPROCS(0) floored at 2, matching backend.Native. Workers,
+	// QueueDepth and MaxBatch (here and on each ModelConfig) must lie in
+	// [0, 1<<16], zero deriving the default, and stay fixed while the server
+	// runs.
 	Workers int
 	// QueueDepth bounds each model's admission queue (default 1024). Arrivals
 	// beyond it are shed according to Policy.
@@ -189,11 +191,29 @@ type Config struct {
 	EnablePprof bool
 }
 
+// maxLimit is the ceiling on Workers, QueueDepth and MaxBatch, a guard
+// against nonsense rather than a tuning knob.
+const maxLimit = 1 << 16
+
+// checkLimits rejects a Workers, QueueDepth or MaxBatch outside [0, maxLimit]
+// (zero means "derive the default").
+func checkLimits(model string, workers, queueDepth, maxBatch int) error {
+	for _, v := range [...]int{workers, queueDepth, maxBatch} {
+		if v < 0 || v > maxLimit {
+			return fmt.Errorf("serve: model %q limit %d out of range [0, %d]", model, v, maxLimit)
+		}
+	}
+	return nil
+}
+
 // normalize validates the config and expands it into one ModelConfig per
 // hosted engine (the default model keeps the empty name).
 func (c *Config) normalize() ([]ModelConfig, error) {
 	if c.Engine == nil && len(c.Models) == 0 {
 		return nil, fmt.Errorf("serve: config needs an Engine or at least one Models entry")
+	}
+	if err := checkLimits("", c.Workers, c.QueueDepth, c.MaxBatch); err != nil {
+		return nil, err
 	}
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
@@ -226,6 +246,9 @@ func (c *Config) normalize() ([]ModelConfig, error) {
 		m := &models[i]
 		if m.Engine == nil {
 			return nil, fmt.Errorf("serve: model %q needs an Engine", m.Name)
+		}
+		if err := checkLimits(m.Name, m.Workers, m.QueueDepth, m.MaxBatch); err != nil {
+			return nil, err
 		}
 		if len(m.Name) > maxModelIDLen {
 			return nil, fmt.Errorf("serve: model id %q is %d bytes, limit %d", m.Name, len(m.Name), maxModelIDLen)
@@ -341,15 +364,6 @@ type engineHost struct {
 	passthrough bool
 	shutdown    bool
 
-	// Live limits, initialized from cfg and moved by Server.Resize. workers
-	// is the desired pool size; liveWorkers is how many worker goroutines
-	// exist right now (growth spawns immediately, shrink retires workers at
-	// their next batch boundary — never mid-batch).
-	workers     int
-	liveWorkers int
-	queueDepth  int
-	maxBatch    int
-
 	// notify wakes the dispatcher (capacity 1; a dropped signal is fine
 	// because the dispatcher re-checks state whenever it holds a token).
 	notify  chan struct{}
@@ -422,22 +436,14 @@ func New(cfg Config) (*Server, error) {
 		tracer: cfg.Tracer,
 	}
 	for _, mc := range models {
-		// The batch channel's buffer is fixed at creation; floor it so a pool
-		// grown well past its initial size still has dispatch slack.
-		chCap := mc.Workers
-		if chCap < 16 {
-			chCap = 16
-		}
+		// The batch channel buffers one batch per worker, floored at 16 so a
+		// small pool still lets the dispatcher run ahead of its workers.
 		h := &engineHost{
-			cfg:         mc,
-			workers:     mc.Workers,
-			liveWorkers: mc.Workers,
-			queueDepth:  mc.QueueDepth,
-			maxBatch:    mc.MaxBatch,
-			notify:      make(chan struct{}, 1),
-			batchCh:     make(chan []*request, chCap),
-			metrics:     newServerMetrics(),
-			mt:          cfg.Tracer.Model(mc.Name),
+			cfg:     mc,
+			notify:  make(chan struct{}, 1),
+			batchCh: make(chan []*request, max(mc.Workers, 16)),
+			metrics: newServerMetrics(),
+			mt:      cfg.Tracer.Model(mc.Name),
 		}
 		s.hosts[mc.Name] = h
 		s.hostList = append(s.hostList, h)
@@ -475,17 +481,6 @@ func (s *Server) MetricsAddr() string {
 		return ""
 	}
 	return s.scrape.addr()
-}
-
-// OnScrape registers an extra metrics source appended to every /metrics
-// response after the server's own families. The capacity manager registers
-// itself here so its limits, headroom estimate and decision counters are
-// scraped from the same endpoint as the serving counters it acted on. No-op
-// when the scrape endpoint is disabled.
-func (s *Server) OnScrape(f func(io.Writer)) {
-	if s.scrape != nil {
-		s.scrape.register(f)
-	}
 }
 
 // Addr returns the bound listen address (useful with the default ":0" port).
@@ -761,114 +756,12 @@ func (s *Server) handleFrame(sc *serverConn, msgType, flags byte, body []byte) b
 func (h *engineHost) snapshot() Snapshot {
 	h.mu.Lock()
 	depth := len(h.queue)
-	workers := h.workers
-	maxBatch := h.maxBatch
-	queueLimit := h.queueDepth
 	h.mu.Unlock()
-	snap := h.metrics.snapshot(depth, workers, maxBatch, queueLimit)
+	snap := h.metrics.snapshot(depth, h.cfg.Workers, h.cfg.MaxBatch, h.cfg.QueueDepth)
 	snap.Model = h.cfg.Name
 	kc := tensor.CurrentKernelConfig()
 	snap.Kernel = &kc
 	return snap
-}
-
-// ResizeRequest asks for new live limits on a hosted model. Zero fields leave
-// the corresponding limit unchanged; Reason labels the recorded events (e.g.
-// "startup-flag", "capacity-grow").
-type ResizeRequest struct {
-	Workers    int
-	QueueDepth int
-	MaxBatch   int
-	Reason     string
-}
-
-// maxResizeLimit is the absolute ceiling any Resize can set, a guard against
-// nonsense rather than a tuning knob.
-const maxResizeLimit = 1 << 16
-
-// Resize applies new live limits to one hosted model (or, with the empty
-// model id, to every hosted model — the reach of a control frame that
-// carries none) and returns the events actually applied. Worker
-// growth spawns immediately; worker shrink retires surplus workers at their
-// next batch boundary (a batch in flight always completes on the worker that
-// started it); queue shrink only lowers the admission bound — requests
-// already queued are never evicted. A draining or closed server ignores the
-// request (no events). Resize is the single live-reconfiguration path: CLI
-// flags, the capacity manager and tests all route through it, and every
-// applied change is recorded as a ResizeEvent in the model's metrics.
-func (s *Server) Resize(model string, req ResizeRequest) ([]ResizeEvent, error) {
-	for _, v := range [...]int{req.Workers, req.QueueDepth, req.MaxBatch} {
-		if v < 0 || v > maxResizeLimit {
-			return nil, fmt.Errorf("serve: resize limit %d out of range [0, %d]", v, maxResizeLimit)
-		}
-	}
-	hosts := s.controlTargets(model)
-	if hosts == nil {
-		return nil, fmt.Errorf("serve: no hosted model %q", model)
-	}
-	var events []ResizeEvent
-	for _, h := range hosts {
-		events = append(events, h.resize(req)...)
-	}
-	return events, nil
-}
-
-// Limits reports one hosted model's current live limits.
-type Limits struct {
-	Workers    int
-	QueueDepth int
-	MaxBatch   int
-}
-
-// Limits returns the named model's live limits as of now.
-func (s *Server) Limits(model string) (Limits, error) {
-	h, ok := s.hosts[model]
-	if !ok && model == "" && s.defaultHost != nil {
-		h, ok = s.defaultHost, true
-	}
-	if !ok {
-		return Limits{}, fmt.Errorf("serve: no hosted model %q", model)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return Limits{Workers: h.workers, QueueDepth: h.queueDepth, MaxBatch: h.maxBatch}, nil
-}
-
-// resize applies one model's limit changes and records the events.
-func (h *engineHost) resize(req ResizeRequest) []ResizeEvent {
-	now := time.Now()
-	var events []ResizeEvent
-	h.mu.Lock()
-	if h.shutdown {
-		h.mu.Unlock()
-		return nil
-	}
-	apply := func(resource string, cur *int, to int) {
-		if to <= 0 || to == *cur {
-			return
-		}
-		events = append(events, ResizeEvent{
-			Time: now, Model: h.cfg.Name, Resource: resource,
-			From: *cur, To: to, Reason: req.Reason,
-		})
-		*cur = to
-	}
-	apply(ResourceWorkers, &h.workers, req.Workers)
-	apply(ResourceQueue, &h.queueDepth, req.QueueDepth)
-	apply(ResourceMaxBatch, &h.maxBatch, req.MaxBatch)
-	for h.liveWorkers < h.workers {
-		h.liveWorkers++
-		h.workWG.Add(1)
-		go h.worker()
-	}
-	h.mu.Unlock()
-	if len(events) > 0 {
-		h.metrics.addResizes(events)
-		// A larger queue or batch cap can change the dispatcher's pending
-		// decision; wake it so the new limits take effect immediately.
-		h.signal()
-	}
-	return events
 }
 
 // signal wakes the dispatcher without blocking.
@@ -891,7 +784,7 @@ func (h *engineHost) admit(r *request) {
 	switch {
 	case h.shutdown:
 		rejected = true
-	case len(h.queue) >= h.queueDepth:
+	case len(h.queue) >= h.cfg.QueueDepth:
 		if h.cfg.Policy == ShedOldest {
 			shed = h.queue[0]
 			h.queue = append(h.queue[1:], r)
@@ -951,7 +844,7 @@ func (h *engineHost) dispatch() {
 			<-h.notify
 			h.mu.Lock()
 		}
-		if !(h.passthrough || h.shutdown || len(h.queue) >= h.maxBatch) {
+		if !(h.passthrough || h.shutdown || len(h.queue) >= h.cfg.MaxBatch) {
 			deadline := h.queue[0].enqueued.Add(h.cfg.BatchWait)
 			h.mu.Unlock()
 			h.waitForBatch(deadline)
@@ -976,7 +869,7 @@ func (h *engineHost) waitForBatch(deadline time.Time) {
 			return
 		case <-h.notify:
 			h.mu.Lock()
-			done := h.passthrough || h.shutdown || len(h.queue) >= h.maxBatch
+			done := h.passthrough || h.shutdown || len(h.queue) >= h.cfg.MaxBatch
 			h.mu.Unlock()
 			if done {
 				return
@@ -985,13 +878,10 @@ func (h *engineHost) waitForBatch(deadline time.Time) {
 	}
 }
 
-// takeLocked pops up to the live batch cap from the queue head. Caller holds
+// takeLocked pops up to MaxBatch requests from the queue head. Caller holds
 // h.mu.
 func (h *engineHost) takeLocked() []*request {
-	n := len(h.queue)
-	if n > h.maxBatch {
-		n = h.maxBatch
-	}
+	n := min(len(h.queue), h.cfg.MaxBatch)
 	batch := make([]*request, n)
 	copy(batch, h.queue[:n])
 	var now time.Time
@@ -1010,24 +900,11 @@ func (h *engineHost) takeLocked() []*request {
 	return batch
 }
 
-// worker drains batches until the dispatcher closes the channel or a shrink
-// retires it. The shrink check sits at the batch boundary: a worker never
-// abandons a batch mid-flight, it finishes the one it holds and then leaves
-// if the pool is over its desired size. During shutdown every worker stays to
-// help drain, whatever the desired size says.
+// worker drains batches until the dispatcher closes the channel.
 func (h *engineHost) worker() {
 	defer h.workWG.Done()
 	for batch := range h.batchCh {
 		h.runBatch(batch)
-		h.mu.Lock()
-		retire := h.liveWorkers > h.workers && !h.shutdown
-		if retire {
-			h.liveWorkers--
-		}
-		h.mu.Unlock()
-		if retire {
-			return
-		}
 	}
 }
 

@@ -987,3 +987,83 @@ func TestModelPolicyOverridesServerDefault(t *testing.T) {
 		t.Errorf("zero-value config policy resolved to %v, want RejectNewest", models[0].Policy)
 	}
 }
+
+// TestNormalizeRejectsOutOfRangeLimits: Workers, QueueDepth and MaxBatch
+// must lie in [0, 1<<16] on the server-wide Config and on every
+// ModelConfig (0 derives the default). Only normalize runs, so no pool of an
+// absurd size is ever started.
+func TestNormalizeRejectsOutOfRangeLimits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"zero derives defaults", Config{}, true},
+		{"at ceiling", Config{Workers: 1 << 16, QueueDepth: 1 << 16, MaxBatch: 1 << 16}, true},
+		{"negative workers", Config{Workers: -1}, false},
+		{"negative queue", Config{QueueDepth: -1}, false},
+		{"negative max batch", Config{MaxBatch: -1}, false},
+		{"absurd workers", Config{Workers: 1<<16 + 1}, false},
+		{"absurd queue", Config{QueueDepth: 1 << 20}, false},
+		{"absurd max batch", Config{MaxBatch: 1<<16 + 1}, false},
+		{"model negative workers", Config{Models: []ModelConfig{{Name: "m", Workers: -1}}}, false},
+		{"model absurd queue", Config{Models: []ModelConfig{{Name: "m", QueueDepth: 1 << 20}}}, false},
+		{"model absurd max batch", Config{Models: []ModelConfig{{Name: "m", MaxBatch: 1<<16 + 1}}}, false},
+		{"model at ceiling", Config{Models: []ModelConfig{{Name: "m", Workers: 1 << 16, QueueDepth: 1 << 16, MaxBatch: 1 << 16}}}, true},
+	} {
+		cfg := tc.cfg
+		cfg.Store = indexStore{}
+		if cfg.Models == nil {
+			cfg.Engine = &echoEngine{}
+		}
+		for i := range cfg.Models {
+			cfg.Models[i].Engine = &echoEngine{}
+		}
+		if _, err := cfg.normalize(); (err == nil) != tc.ok {
+			t.Errorf("%s: normalize err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestMergeSnapshotsFleetSizeChange covers merging replicas of different
+// sizes: counters and limits sum, and a banked epoch (the counters a replica
+// held when its connection epoch ended) contributes exactly once.
+func TestMergeSnapshotsFleetSizeChange(t *testing.T) {
+	r0 := Snapshot{Admitted: 100, Completed: 100, Workers: 4, QueueLimit: 32}
+	// Replica 1's last epoch was banked with the counters it had when the
+	// epoch ended. It contributes once — there is no live snapshot to double
+	// it with.
+	banked := Snapshot{Admitted: 40, Completed: 40, Workers: 2, QueueLimit: 16}
+	r2 := Snapshot{Admitted: 25, Completed: 25, Workers: 2, QueueLimit: 16}
+	m := MergeSnapshots(r0, banked, r2)
+	if m.Admitted != 165 || m.Completed != 165 {
+		t.Fatalf("merged counters: %+v", m)
+	}
+	if m.Workers != 8 || m.QueueLimit != 64 {
+		t.Errorf("merged limits: workers %d queue %d", m.Workers, m.QueueLimit)
+	}
+	if m.Merged != 3 {
+		t.Errorf("merged count %d, want 3", m.Merged)
+	}
+	// Merging the merge again must not re-count anything.
+	again := MergeSnapshots(m)
+	if again.Admitted != 165 || again.Workers != 8 || again.QueueLimit != 64 || again.Merged != 3 {
+		t.Errorf("re-merge changed fold: %+v", again)
+	}
+}
+
+// TestMergeSnapshotsKeepsKernelConfig: merged snapshots keep the first
+// non-nil kernel config (one deployment, one binary) and copy it rather than
+// aliasing the input.
+func TestMergeSnapshotsKeepsKernelConfig(t *testing.T) {
+	a := Snapshot{Kernel: &tensor.KernelConfig{SIMD: "avx2", FlopThreshold: 1 << 20, PanelBytes: 192 << 10}}
+	b := Snapshot{Kernel: &tensor.KernelConfig{SIMD: "off"}}
+	m := MergeSnapshots(Snapshot{}, a, b)
+	if m.Kernel == nil || m.Kernel.SIMD != "avx2" {
+		t.Fatalf("merged kernel = %+v, want first non-nil (avx2)", m.Kernel)
+	}
+	a.Kernel.SIMD = "mutated"
+	if m.Kernel.SIMD != "avx2" {
+		t.Error("merged kernel aliases its input")
+	}
+}
